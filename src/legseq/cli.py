@@ -166,7 +166,7 @@ def _measure_sequence(seq, args):
     if args.oracle:
         measures.append(oracle_well_distribution(seq))
     else:
-        measures.append(well_distribution(seq, threads=args.threads))
+        measures.append(well_distribution(seq))
     for order in args.orders:
         if args.oracle:
             measures.append(oracle_correlation(seq, order))
@@ -174,8 +174,7 @@ def _measure_sequence(seq, args):
             measures.append(correlation_sampled(
                 seq, order, args.samples, seed=args.seed))
         else:
-            measures.append(correlation(
-                seq, order, budget=args.budget, threads=args.threads))
+            measures.append(correlation(seq, order, budget=args.budget))
     return measures
 
 
@@ -256,8 +255,7 @@ def cmd_table(args):
     all_mismatches = []
     for ex in examples:
         for p in PRIMES:
-            computed, expected, mismatches = diff_row(
-                ex, p, threads=args.threads)
+            computed, expected, mismatches = diff_row(ex, p)
             rows.append((ex, p, computed, expected, mismatches))
             all_mismatches.extend(
                 (ex, p, col, e, g) for col, e, g in mismatches)
@@ -442,7 +440,9 @@ def build_parser():
     sp.add_argument("--oracle", action="store_true",
                     help="use the brute-force definitional engines "
                          "(small N only)")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored; every engine runs in "
+                         "one thread")
     sp.add_argument("--out", default="-")
     sp.set_defaults(fn=cmd_measure)
 
@@ -452,7 +452,9 @@ def build_parser():
                     required=True)
     sp.add_argument("--format", choices=("text", "csv", "json"),
                     default="text")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored; every engine runs in "
+                         "one thread")
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("combine", help="interleave F and G under switch H")

@@ -7,6 +7,13 @@ a deterministic witness (the argmax tuple) that re-evaluates to the
 reported value; ties are broken toward the lexicographically smallest
 witness, so results are independent of evaluation schedule.
 
+Every measure reduces to the range (max - min) of the prefix walk of a
++-1 sequence: a residue class of a step b for W, a lag product for C_l
+and Phi_l.  One finder, `_range_window`, turns a walk and its range into
+the first window attaining it.  Exact W scans steps b in increasing
+order and stops once ceil(N/b), the length of the longest class, cannot
+beat the running best, which costs O(N * ceil(N/W)) instead of O(N^2).
+
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for small sequences and are used only by tests.
 """
@@ -14,9 +21,8 @@ for small sequences and are used only by tests.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Optional
 
@@ -109,118 +115,105 @@ def evaluate_cross_witness(family, indices: tuple, D: tuple, M: int) -> int:
     return abs(s)
 
 
-def _level_index(prefix) -> dict:
-    """Map prefix-sum level -> sorted list of indices where it occurs."""
-    levels: dict = {}
-    for i, v in enumerate(prefix):
-        levels.setdefault(int(v), []).append(i)
-    return levels
+def _walk(a):
+    """Prefix sums of a with a leading 0, in int64."""
+    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
 
 
-def _first_window(prefix, value):
-    """Smallest (start, length) with |prefix[start+length] - prefix[start]|
-    equal to value, ordering by start first, then length.  Returns None
-    when the value is not attained."""
-    levels = _level_index(prefix)
-    for i in range(len(prefix) - 1):
-        base = int(prefix[i])
-        best_j = None
-        for target in (base + value, base - value):
-            idxs = levels.get(target)
-            if not idxs:
-                continue
-            k = bisect_right(idxs, i)
-            if k < len(idxs) and (best_j is None or idxs[k] < best_j):
-                best_j = idxs[k]
-        if best_j is not None:
-            return i, best_j - i
-    return None
+def _span(a) -> int:
+    """Range max - min of the walk of a: the largest |window sum|."""
+    P = a.cumsum()
+    return max(int(P.max()), 0) - min(int(P.min()), 0)
+
+
+def _products(arrays, rel):
+    """a_m = prod_k arrays[k][m + rel[k]] for every m that keeps each
+    index inside its array; rel is nondecreasing with rel[0] = 0."""
+    n = len(arrays[0]) - rel[-1]
+    a = arrays[0][:n]
+    for arr, d in zip(arrays[1:], rel[1:]):
+        a = a * arr[d: n + d]
+    return a
+
+
+def _range_window(walk, value):
+    """First (start, length), by start then length, with
+    |walk[start + length] - walk[start]| = value, where value is the
+    walk's range max - min.
+
+    Such a window joins a minimum to a maximum.  So it starts at the
+    first minimum that has a later maximum or the first maximum that has
+    a later minimum, whichever is earlier, and ends at the first
+    opposite extreme after that.  Returns None when the walk has fewer
+    than two points or its range is below value; raises ValueError when
+    the range is above value.
+    """
+    P = np.asarray(walk)
+    if len(P) < 2:
+        return None
+    lo, hi = P.min(), P.max()
+    if hi - lo < value:
+        return None
+    if hi - lo > value:
+        raise ValueError(f"walk range {hi - lo} exceeds value {value}")
+    at_lo, at_hi = P == lo, P == hi
+    last = len(P) - 1
+    first_lo, first_hi = int(at_lo.argmax()), int(at_hi.argmax())
+    lo_first = first_lo < last - int(at_hi[::-1].argmax())
+    hi_first = first_hi < last - int(at_lo[::-1].argmax())
+    if lo_first and (not hi_first or first_lo < first_hi):
+        start, ends = first_lo, at_hi
+    else:
+        start, ends = first_hi, at_lo
+    return start, int(ends[start + 1:].argmax()) + 1
 
 
 def well_distribution(E: BinarySequence, threads: int = 1) -> MeasureResult:
     """Exact W(E): max |sum along an arithmetic progression inside [1, N]|.
 
-    For each difference b the positions split into b progressions;
-    max prefix minus min prefix along each covers every (a, t) choice.
-    O(N^2) overall.  The witness is the smallest (b, a, t) attaining the
-    value.
+    For each difference b the positions split into b residue classes;
+    max prefix minus min prefix along each class covers every (a, t)
+    choice.  A class of step b has at most ceil(N/b) terms, so no step
+    with ceil(N/b) <= best can beat the running best.  Steps are scanned
+    in increasing order and the scan stops at the first such b; a tie at
+    a larger b could not change the smallest achieving b anyway.  Cost
+    O(N * ceil(N/W)) instead of O(N^2).  The witness is the smallest
+    (b, a, t) attaining the value.  threads is accepted and ignored.
     """
     t0 = time.perf_counter()
-    e = E.array()
     N = E.n
-    per_b = _w_values_per_b(e, range(1, N + 1), threads=threads)
-    value = int(max(per_b.values()))
+    # zero padding repeats each class's last prefix, so max - min is exact
+    pad = np.zeros(2 * N, dtype=np.int64)
+    pad[:N] = E.array()
 
-    b_star = min(b for b, v in per_b.items() if v == value)
+    def class_prefixes(b):
+        m = -(-N // b)
+        return np.cumsum(pad[: m * b].reshape(m, b), axis=0)
+
+    value, b_star = -1, None
+    for b in range(1, N + 1):
+        if -(-N // b) <= value:
+            break
+        P = class_prefixes(b)
+        v = int((np.maximum(P.max(axis=0), 0)
+                 - np.minimum(P.min(axis=0), 0)).max())
+        if v > value:
+            value, b_star = v, b
+
     best = None  # (a, t)
-    prefixes = _class_prefixes(e, b_star)
+    P = np.vstack([np.zeros((1, b_star), dtype=np.int64),
+                   class_prefixes(b_star)])
     for c in range(b_star):
-        hit = _first_window(prefixes[c], value)
-        if hit is None:
-            continue
-        i, length = hit
-        a = (c + 1) + i * b_star - b_star
-        if best is None or (a, length) < best:
-            best = (a, length)
+        k = (N - c + b_star - 1) // b_star  # elements in class c
+        hit = _range_window(P[: k + 1, c], value)
+        if hit is not None:
+            i, length = hit
+            cand = (c + 1 + (i - 1) * b_star, length)
+            if best is None or cand < best:
+                best = cand
     a, t = best
     return MeasureResult("W", None, value, (a, b_star, t),
                          elapsed=time.perf_counter() - t0)
-
-
-def _class_prefixes(e, b):
-    """Prefix sums (with leading 0) of each residue class of step b."""
-    N = len(e)
-    m = -(-N // b)
-    pad = np.zeros(m * b, dtype=np.int64)
-    pad[:N] = e
-    cols = pad.reshape(m, b)
-    P = np.vstack([np.zeros((1, b), dtype=np.int64), np.cumsum(cols, axis=0)])
-    out = []
-    for c in range(b):
-        k = (N - c + b - 1) // b  # elements in class c
-        out.append(P[: k + 1, c])
-    return out
-
-
-def _chunks(seq, k):
-    seq = list(seq)
-    step = -(-len(seq) // k)
-    return [seq[i: i + step] for i in range(0, len(seq), step)]
-
-
-def _w_values_per_b(e, bs, threads: int = 1) -> dict:
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda c: _w_values_per_b(e, c), _chunks(bs, threads))
-        out = {}
-        for part in parts:
-            out.update(part)
-        return out
-    N = len(e)
-    out = {}
-    for b in bs:
-        m = -(-N // b)
-        pad = np.zeros(m * b, dtype=np.int64)
-        pad[:N] = e
-        cols = pad.reshape(m, b)
-        P = np.vstack(
-            [np.zeros((1, b), dtype=np.int64), np.cumsum(cols, axis=0)]
-        )
-        # zero padding repeats the last prefix value, so max-min is exact
-        out[b] = int((P.max(axis=0) - P.min(axis=0)).max())
-    return out
-
-
-def _lag_products(e, lags):
-    """Product sequence a_m = e_m * e_{m+lag_2} * ... (0-based slicing)."""
-    N = len(e)
-    span = lags[-1] if lags else 0
-    a = e[: N - span].copy()
-    for d in lags:
-        a *= e[d: N - span + d]
-    return a
 
 
 def _corr_tuple_count(N: int, order: int) -> int:
@@ -235,7 +228,8 @@ def correlation(E: BinarySequence, order: int,
     The sum over n = 1..M with lags D equals a contiguous window sum of
     the product sequence with relative lags d_i - d_1, so scanning
     max prefix minus min prefix per lag tuple is exact.  Refuses when
-    (number of lag tuples) * N exceeds the work budget.
+    (number of lag tuples) * N exceeds the work budget.  threads is
+    accepted and ignored.
     """
     t0 = time.perf_counter()
     if order < 2:
@@ -248,43 +242,22 @@ def correlation(E: BinarySequence, order: int,
             f"exact C_{order} needs {_corr_tuple_count(N, order) * N} steps "
             f"(budget {budget}); use correlation_sampled"
         )
-    e = E.array()
+    arrays = [E.array()] * order
 
-    def scan(chunk):
-        best = 0
-        ach = []
-        for lags in chunk:
-            a = _lag_products(e, lags)
-            P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-            v = int(P.max() - P.min())
-            if v > best:
-                best = v
-                ach = [lags]
-            elif v == best:
-                ach.append(lags)
-        return best, ach
-
-    all_lags = combinations(range(1, N), order - 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, _chunks(all_lags, threads)))
-    else:
-        parts = [scan(all_lags)]
-    value = max(v for v, _ in parts)
-    # the witness pass below takes a global minimum, so merge order
-    # cannot affect the result
-    achieving = [lags for v, ach in parts if v == value for lags in ach]
+    value = -1
+    achieving = []
+    for lags in combinations(range(1, N), order - 1):
+        v = _span(_products(arrays, (0,) + lags))
+        if v > value:
+            value = v
+            achieving = [lags]
+        elif v == value:
+            achieving.append(lags)
 
     witness = None  # (D..., M)
     for lags in achieving:
-        a = _lag_products(e, lags)
-        P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-        hit = _first_window(P, value)
-        if hit is None:
-            continue
-        start, M = hit
+        start, M = _range_window(
+            _walk(_products(arrays, (0,) + lags)), value)
         cand = tuple([start] + [start + d for d in lags]) + (M,)
         if witness is None or cand < witness:
             witness = cand
@@ -343,38 +316,55 @@ def correlation_sampled(E: BinarySequence, order: int, samples: int,
                              method="sampled", samples=samples, seed=seed,
                              elapsed=time.perf_counter() - t0)
     rng = SplitMix64(seed)
-    e = E.array()
+    arrays = [E.array()] * order
     value = -1
     best_lags = None
     for _ in range(samples):
         lags = rng.lag_tuple(N, order)
-        a = _lag_products(e, lags)
-        P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-        v = int(P.max() - P.min())
+        v = _span(_products(arrays, (0,) + lags))
         if v > value or (v == value and lags < best_lags):
             value, best_lags = v, lags
-    a = _lag_products(e, best_lags)
-    P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-    start, M = _first_window(P, value)
+    start, M = _range_window(
+        _walk(_products(arrays, (0,) + best_lags)), value)
     witness = (tuple([start] + [start + d for d in best_lags]), M)
     return MeasureResult("C", order, value, witness, method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
 
 
-def _nondecreasing_lags(N: int, order: int):
-    """Nondecreasing (order-1)-tuples over [0, N-1] (relative to d_1 = 0)."""
-    return combinations_with_replacement_range(N, order - 1)
-
-
-def combinations_with_replacement_range(N, k):
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(N), k)
-
-
 def _cross_tuple_count(m: int, N: int, order: int) -> int:
     return m**order * comb(N + order - 2, order - 1)
+
+
+def _check_family(family, order: int):
+    """Validate a family for Phi_order; returns (N, arrays, eq) where
+    eq[i][j] says whether members i and j are equal sequences."""
+    if not family:
+        raise ValueError("empty family")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    N = family[0].n
+    if any(s.n != N for s in family):
+        raise ValueError("family members must share one length")
+    m = len(family)
+    eq = [[family[i].values == family[j].values for j in range(m)]
+          for i in range(m)]
+    # equal sequences must not share a lag, so each distinct member
+    # offers N (member, lag) pairs to a tuple
+    distinct = sum(not any(eq[i][:i]) for i in range(m))
+    if order > distinct * N:
+        raise ValueError(
+            f"no admissible Phi_{order} tuple: order exceeds {distinct} "
+            f"distinct member(s) x length {N}")
+    return N, [s.array() for s in family], eq
+
+
+def _equal_pairs(eq, idxs) -> list:
+    """Positions i < j of a member tuple that hold equal sequences; such
+    positions must not share a lag."""
+    order = len(idxs)
+    return [(i, j) for i in range(order) for j in range(i + 1, order)
+            if eq[idxs[i]][idxs[j]]]
 
 
 def cross_correlation(family, order: int,
@@ -388,45 +378,24 @@ def cross_correlation(family, order: int,
     """
     t0 = time.perf_counter()
     family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    N = family[0].n
-    if any(s.n != N for s in family):
-        raise ValueError("family members must share one length")
+    N, arrays, eq = _check_family(family, order)
     m = len(family)
     if _cross_tuple_count(m, N, order) * N > budget:
         raise BudgetExceeded(
             f"exact Phi_{order} needs about "
             f"{_cross_tuple_count(m, N, order) * N} steps (budget {budget})"
         )
-    arrays = [s.array() for s in family]
-    # equal-sequence groups drive the distinct-lag restriction
-    eq = [[family[i].values == family[j].values for j in range(m)]
-          for i in range(m)]
 
     value = -1
     achieving = []  # (indices, rel_lags)
     for idxs in product(range(m), repeat=order):
-        for rel in _nondecreasing_lags(N, order):
+        members = [arrays[i] for i in idxs]
+        pairs = _equal_pairs(eq, idxs)
+        for rel in combinations_with_replacement(range(N), order - 1):
             rel = (0,) + rel  # d_1 is absorbed into the window start
-            ok = True
-            for i in range(order):
-                for j in range(i + 1, order):
-                    if eq[idxs[i]][idxs[j]] and rel[i] == rel[j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if any(rel[i] == rel[j] for i, j in pairs):
                 continue
-            span = rel[-1]
-            a = arrays[idxs[0]][: N - span].copy()
-            for k in range(1, order):
-                a = a * arrays[idxs[k]][rel[k]: N - span + rel[k]]
-            P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-            v = int(P.max() - P.min())
+            v = _span(_products(members, rel))
             if v > value:
                 value = v
                 achieving = [(idxs, rel)]
@@ -435,15 +404,8 @@ def cross_correlation(family, order: int,
 
     witness = None
     for idxs, rel in achieving:
-        span = rel[-1]
-        a = arrays[idxs[0]][: N - span].copy()
-        for k in range(1, order):
-            a = a * arrays[idxs[k]][rel[k]: N - span + rel[k]]
-        P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-        hit = _first_window(P, value)
-        if hit is None:
-            continue
-        start, M = hit
+        start, M = _range_window(
+            _walk(_products([arrays[i] for i in idxs], rel)), value)
         cand = (tuple(i + 1 for i in idxs),
                 tuple(start + d for d in rel), M)
         if witness is None or cand < witness:
@@ -460,19 +422,10 @@ def cross_correlation_sampled(family, order: int, samples: int,
     redrawn."""
     t0 = time.perf_counter()
     family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    N, arrays, eq = _check_family(family, order)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    N = family[0].n
-    if any(s.n != N for s in family):
-        raise ValueError("family members must share one length")
     m = len(family)
-    arrays = [s.array() for s in family]
-    eq = [[family[i].values == family[j].values for j in range(m)]
-          for i in range(m)]
     rng = SplitMix64(seed)
     value = -1
     best = None
@@ -482,27 +435,15 @@ def cross_correlation_sampled(family, order: int, samples: int,
             rel = (0,) + tuple(sorted(
                 rng.below(N) for _ in range(order - 1)
             ))
-            ok = all(
-                not (eq[idxs[i]][idxs[j]] and rel[i] == rel[j])
-                for i in range(order) for j in range(i + 1, order)
-            )
-            if ok:
+            if not any(rel[i] == rel[j]
+                       for i, j in _equal_pairs(eq, idxs)):
                 break
-        span = rel[-1]
-        a = arrays[idxs[0]][: N - span].copy()
-        for k in range(1, order):
-            a = a * arrays[idxs[k]][rel[k]: N - span + rel[k]]
-        P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-        v = int(P.max() - P.min())
+        v = _span(_products([arrays[i] for i in idxs], rel))
         if v > value or (v == value and (idxs, rel) < best):
             value, best = v, (idxs, rel)
     idxs, rel = best
-    span = rel[-1]
-    a = arrays[idxs[0]][: N - span].copy()
-    for k in range(1, order):
-        a = a * arrays[idxs[k]][rel[k]: N - span + rel[k]]
-    P = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
-    start, M = _first_window(P, value)
+    start, M = _range_window(
+        _walk(_products([arrays[i] for i in idxs], rel)), value)
     witness = (tuple(i + 1 for i in idxs),
                tuple(start + d for d in rel), M)
     return MeasureResult("Phi", order, value, witness, method="sampled",

@@ -82,7 +82,8 @@ def example_triple(example: int, p: int) -> PolyTriple:
 
 
 def compute_row(example: int, p: int, threads: int = 1) -> tuple:
-    """Regenerate one table row: the 8 measures in COLUMNS order."""
+    """Regenerate one table row: the 8 measures in COLUMNS order.
+    threads is accepted and ignored."""
     t = example_triple(example, p)
     seqs = [
         construct_single(t.f),
@@ -90,15 +91,15 @@ def compute_row(example: int, p: int, threads: int = 1) -> tuple:
         construct_single(t.h),
         construct_triple(t),
     ]
-    ws = [well_distribution(s, threads=threads).value for s in seqs]
-    cs = [correlation(s, 2, threads=threads).value for s in seqs]
+    ws = [well_distribution(s).value for s in seqs]
+    cs = [correlation(s, 2).value for s in seqs]
     return tuple(ws + cs)
 
 
 def diff_row(example: int, p: int, threads: int = 1):
     """Computed row, expected row, and the list of mismatched cells
-    as (column, expected, computed)."""
-    computed = compute_row(example, p, threads=threads)
+    as (column, expected, computed).  threads is accepted and ignored."""
+    computed = compute_row(example, p)
     expected = EXAMPLES[example].expected[p]
     mismatches = [
         (col, exp, got)

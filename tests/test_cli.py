@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,30 @@ def test_crosscorr_theorem3_needs_distinct(tmp_path, capsys):
     code, _, _ = run(capsys, "crosscorr", F, G, H, "--order", "2",
                      "--theorem3")
     assert code == 2
+
+
+def test_crosscorr_no_admissible_tuple_exits_1(tmp_path, capsys):
+    # one member of length 3 offers only 3 distinct lags to 4 positions
+    F = write_seq(tmp_path, "f.txt", (1, -1, 1))
+    code, out, err = run(capsys, "crosscorr", F, "--order", "4")
+    assert code == 1
+    assert out == ""
+    assert "no admissible" in err
+
+
+def test_crosscorr_sampled_no_admissible_tuple_exits_1(tmp_path):
+    # run apart so that a redraw loop that never ends fails, not hangs
+    F = write_seq(tmp_path, "f.txt", (1, -1, 1))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "legseq.cli", "crosscorr", F, "--order", "4",
+         "--method", "sampled"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "no admissible" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- bounds ----------------------------------------------------------------

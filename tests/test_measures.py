@@ -1,5 +1,6 @@
 """Measure engines: exact values, witnesses, oracles, sampling."""
 
+from bisect import bisect_right
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legseq.constructions import BinarySequence
-from legseq.measures import (DEFAULT_SEED, BudgetExceeded, correlation,
-                             correlation_sampled, cross_correlation,
+from legseq.constructions import BinarySequence, construct_single
+from legseq.ff import Poly, is_prime
+from legseq.measures import (DEFAULT_SEED, BudgetExceeded, _range_window,
+                             correlation, correlation_sampled,
+                             cross_correlation,
                              cross_correlation_sampled, evaluate_corr_witness,
                              evaluate_cross_witness, evaluate_w_witness,
                              oracle_correlation, oracle_well_distribution,
@@ -45,6 +48,101 @@ def brute_cross(family, order):
                 s += prod
                 best = max(best, abs(s))
     return best
+
+
+def reference_first_window(prefix, value):
+    """Smallest (start, length) with |prefix[start+length] - prefix[start]|
+    equal to value, by start then length, for any value; None when no
+    window attains it.  The dict-and-bisect search that _range_window
+    replaced."""
+    levels = {}
+    for i, v in enumerate(prefix):
+        levels.setdefault(int(v), []).append(i)
+    for i in range(len(prefix) - 1):
+        base = int(prefix[i])
+        best_j = None
+        for target in (base + value, base - value):
+            idxs = levels.get(target)
+            if not idxs:
+                continue
+            k = bisect_right(idxs, i)
+            if k < len(idxs) and (best_j is None or idxs[k] < best_j):
+                best_j = idxs[k]
+        if best_j is not None:
+            return i, best_j - i
+    return None
+
+
+def reference_well_distribution(E):
+    """Unpruned W: the range of every residue class of every step
+    b = 1..N, then the smallest (b, a, t) witness.  O(N^2)."""
+    e = E.array()
+    N = E.n
+
+    def class_walks(b):
+        m = -(-N // b)
+        pad = np.zeros(m * b, dtype=np.int64)
+        pad[:N] = e
+        return np.vstack([np.zeros((1, b), dtype=np.int64),
+                          np.cumsum(pad.reshape(m, b), axis=0)])
+
+    per_b = {}
+    for b in range(1, N + 1):
+        P = class_walks(b)
+        per_b[b] = int((P.max(axis=0) - P.min(axis=0)).max())
+    value = max(per_b.values())
+    b_star = min(b for b, v in per_b.items() if v == value)
+    P = class_walks(b_star)
+    best = None
+    for c in range(b_star):
+        k = (N - c + b_star - 1) // b_star
+        hit = reference_first_window(P[: k + 1, c], value)
+        if hit is not None:
+            i, t = hit
+            cand = (c + 1 + (i - 1) * b_star, t)
+            best = cand if best is None else min(best, cand)
+    a, t = best
+    return value, (a, b_star, t)
+
+
+def random_legendre_seq(rng, lo, hi):
+    """Legendre sequence of a random polynomial of degree 1..4 modulo a
+    random prime in [lo, hi]."""
+    p = int(rng.integers(lo, hi))
+    while not is_prime(p):
+        p += 1
+    deg = int(rng.integers(1, 5))
+    coeffs = [int(c) for c in rng.integers(0, p, size=deg)] \
+        + [int(rng.integers(1, p))]
+    return construct_single(Poly.make(coeffs, p))
+
+
+# --- witness finder --------------------------------------------------------
+
+
+def test_range_window_matches_reference_search(rng):
+    for _ in range(3000):
+        n = int(rng.integers(0, 61))
+        walk = np.concatenate([[0], np.cumsum(rng.choice((-1, 1), size=n))])
+        walk = walk[: int(rng.integers(0, n + 2))]  # empty and 1-point too
+        span = int(walk.max() - walk.min()) if len(walk) else 0
+        for value in (span, span + 1, span + 3):
+            assert _range_window(walk, value) \
+                == reference_first_window(walk, value)
+
+
+def test_range_window_short_and_unattained():
+    empty = np.zeros(0, dtype=np.int64)
+    assert _range_window(empty, 0) is None
+    assert _range_window(np.array([5]), 0) is None
+    assert _range_window(np.array([0, 1, 0]), 2) is None
+    assert _range_window(np.array([0, 1, 0, -1]), 2) == (1, 2)
+    assert _range_window(np.array([0, -1, 0, 1, 0, -1]), 2) == (1, 2)
+
+
+def test_range_window_refuses_value_below_range():
+    with pytest.raises(ValueError):
+        _range_window(np.array([0, 1, 2, 1]), 1)
 
 
 # --- well-distribution -----------------------------------------------------
@@ -95,6 +193,31 @@ def test_w_invariant_under_negation_and_reversal(E):
     assert well_distribution(-E).value == v
     rev = BinarySequence(E.values[::-1])
     assert well_distribution(rev).value == v
+
+
+def test_w_pruned_matches_unpruned_scan_short():
+    # every sequence up to length 10, where a class one term longer than
+    # N // b decides the value, e.g. (+1, -1, +1) at b = 2
+    for n in range(1, 11):
+        for vals in product((-1, 1), repeat=n):
+            E = BinarySequence(vals)
+            res = well_distribution(E)
+            assert (res.value, res.witness) \
+                == reference_well_distribution(E)
+
+
+def test_w_pruned_matches_unpruned_scan_random(rng):
+    for _ in range(6):
+        E = rand_seq(rng, int(rng.integers(200, 3001)))
+        res = well_distribution(E)
+        assert (res.value, res.witness) == reference_well_distribution(E)
+
+
+def test_w_pruned_matches_unpruned_scan_legendre(rng):
+    for _ in range(6):
+        E = random_legendre_seq(rng, 200, 3000)
+        res = well_distribution(E)
+        assert (res.value, res.witness) == reference_well_distribution(E)
 
 
 def test_w_threads_agree(rng):
