@@ -22,9 +22,11 @@ import time
 from . import __version__
 from .bounds import (BoundReport, bound_C, bound_theorem3, bound_theoremA_C,
                      bound_W, weil_incomplete_bound)
-from .conditions import (check_correlation_order, check_divisibility_condition,
+from .conditions import (ConditionReport, check_correlation_order,
+                         check_divisibility_condition,
                          check_divisibility_condition_symmetric,
-                         check_squarefree_triple, check_theorem2_sets)
+                         check_squarefree, check_squarefree_triple,
+                         check_theorem2_sets)
 from .constructions import (BinarySequence, PolyTriple, build_theorem2_polys,
                             construct_combined, construct_single,
                             construct_triple)
@@ -112,8 +114,8 @@ def _run_checks(p, single, triple, sets, symmetric=False):
                     if symmetric else check_divisibility_condition(triple))
         else:
             # single-polynomial rule only needs f itself squarefree
-            full = check_squarefree_triple(PolyTriple(single, single, single))
-            out["squarefree"] = type(full)((full.checks[0],))
+            out["squarefree"] = ConditionReport(
+                (check_squarefree("f", single),))
     except ValueError as exc:
         raise CliError(str(exc)) from None
     return out

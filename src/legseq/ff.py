@@ -3,15 +3,17 @@
 Provides modular exponentiation, Legendre symbols via the Euler
 criterion, primality and primitive-root tests, and dense polynomial
 arithmetic (add/mul/divmod/gcd, Taylor shift, derivative, squarefree
-test) over a prime field.  All values are immutable after construction
-and all operations are pure functions, so everything here is safe to
-share across workers.
+test) over a prime field, with resultants, Newton interpolation and
+root finding in F_p for any p below 2^63.  All values are immutable
+after construction and all operations are pure functions, so
+everything here is safe to share across workers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 MAX_MODULUS = 2**63  # products must fit a double-width intermediate
@@ -62,10 +64,22 @@ class PrimeModulus:
         return self.p
 
 
+@lru_cache(maxsize=64)
+def _checked_int(p: int) -> int:
+    return PrimeModulus(p).p
+
+
 def _as_p(p) -> int:
-    """Accept a PrimeModulus or a raw int (validated)."""
+    """Accept a PrimeModulus or a raw int (validated).
+
+    Every polynomial operation passes its modulus through here, so a
+    plain int is validated once and then found in a small cache; other
+    types always go through PrimeModulus and its ValueError.
+    """
     if isinstance(p, PrimeModulus):
         return p.p
+    if type(p) is int:
+        return _checked_int(p)
     return PrimeModulus(p).p
 
 
@@ -295,6 +309,108 @@ class Poly:
                 term = f"x^{i}" if c == 1 else f"{c}*x^{i}"
             parts.append(term)
         return " + ".join(parts)
+
+
+def resultant(a: Poly, b: Poly) -> int:
+    """Res(a, b) in F_p by the Euclidean algorithm.
+
+    Uses Res(a, b) = lc(a)^(deg b - deg r) Res(a, r) for r = b mod a and
+    Res(a, r) = (-1)^(deg a deg r) Res(r, a), so the cost is that of one
+    gcd.  Zero iff a and b share a root in the algebraic closure; zero
+    when either argument is the zero polynomial.
+    """
+    p = a.p
+    if a.is_zero() or b.is_zero():
+        return 0
+    res = 1
+    while True:
+        m, n = a.degree, b.degree
+        if m == 0:
+            return res * pow(a.coeffs[0], n, p) % p
+        if n == 0:
+            return res * pow(b.coeffs[0], m, p) % p
+        r = b % a
+        if r.is_zero():
+            return 0
+        k = r.degree
+        res = res * pow(a.coeffs[-1], n - k, p) % p
+        if m * k % 2:
+            res = -res % p
+        a, b = r, a
+
+
+def interpolate(xs, ys, p) -> Poly:
+    """The polynomial of degree < len(xs) through (xs[i], ys[i]) in F_p.
+
+    Newton form: divided differences, then Horner expansion, both
+    O(len(xs)^2) field operations.  The xs must be distinct mod p.
+    """
+    p = _as_p(p)
+    xs = [x % p for x in xs]
+    c = [y % p for y in ys]
+    n = len(xs)
+    if len(c) != n:
+        raise ValueError("need one value per point")
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diff = xs[i] - xs[i - j]
+            if diff == 0:
+                raise ValueError("interpolation points must be distinct")
+            c[i] = (c[i] - c[i - 1]) * pow(diff, -1, p) % p
+    coeffs = []
+    for i in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - xs[i]) + c[i]
+        out = [0] + coeffs
+        for k, a in enumerate(coeffs):
+            out[k] = (out[k] - xs[i] * a) % p
+        out[0] = (out[0] + c[i]) % p
+        coeffs = out
+    return Poly.make(coeffs, p)
+
+
+def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e mod `mod` by left-to-right square-and-multiply, so a linear
+    base costs one cheap multiplication per set bit of e."""
+    out = Poly.make((1,), mod.p) % mod
+    for bit in bin(e)[2:]:
+        out = out * out % mod
+        if bit == "1":
+            out = out * base % mod
+    return out
+
+
+def roots(f: Poly) -> list:
+    """The distinct roots of f in F_p, ascending.
+
+    G = gcd(f, x^p - x), with x^p taken mod f by square-and-multiply, is
+    the product of (x - r) over the roots r.  G is split by gcds with
+    (x + a)^((p-1)/2) - 1 for a = 1, 2, ..., which separate roots r
+    whose r + a differ in quadratic character; some a < p separates any
+    two roots, so the loop ends.  Costs O(deg(f)^2 log p) field
+    operations per split, for any p below 2^63.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial vanishes everywhere")
+    p = f.p
+    x, one = Poly.x(p), Poly.make((1,), p)
+    g = f.monic()
+    if g.degree >= 1:
+        g = g.gcd(_powmod(x, p, g) - x)
+    out = []
+    stack = [g] if g.degree >= 1 else []
+    a = 0
+    while stack:
+        g = stack.pop()
+        if g.degree == 1:
+            out.append(-g.coeffs[0] % p)
+            continue
+        while True:
+            a += 1
+            h = g.gcd(_powmod(Poly.make((a, 1), p), (p - 1) // 2, g) - one)
+            if 0 < h.degree < g.degree:
+                break
+        stack += [h, g // h]
+    return sorted(out)
 
 
 _TERM_RE = re.compile(

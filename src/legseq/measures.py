@@ -35,6 +35,11 @@ DEFAULT_SEED = 0x1E65_5EED
 
 _ORACLE_LIMIT = 64
 
+# consecutive rejected draws after which sampled Phi gives up: a draw
+# that is admissible with probability q fails this often in a row with
+# probability (1 - q)^MAX_REDRAWS, below e^-16 for q >= 10^-3
+MAX_REDRAWS = 2**14
+
 
 class BudgetExceeded(RuntimeError):
     """Exact enumeration would exceed the configured work budget; use the
@@ -419,7 +424,9 @@ def cross_correlation_sampled(family, order: int, samples: int,
     """Lower bound on Phi_l from uniformly drawn (member tuple, lag tuple)
     pairs, each scanned exactly over all windows.  Deterministic for a
     fixed seed; draws that violate the distinct-lag restriction are
-    redrawn."""
+    redrawn.  Raises BudgetExceeded after MAX_REDRAWS rejected draws in
+    a row, which happens only when admissible tuples are very rare (an
+    order close to the distinct members times N)."""
     t0 = time.perf_counter()
     family = list(family)
     N, arrays, eq = _check_family(family, order)
@@ -430,7 +437,7 @@ def cross_correlation_sampled(family, order: int, samples: int,
     value = -1
     best = None
     for _ in range(samples):
-        while True:
+        for _ in range(MAX_REDRAWS):
             idxs = tuple(rng.below(m) for _ in range(order))
             rel = (0,) + tuple(sorted(
                 rng.below(N) for _ in range(order - 1)
@@ -438,6 +445,12 @@ def cross_correlation_sampled(family, order: int, samples: int,
             if not any(rel[i] == rel[j]
                        for i, j in _equal_pairs(eq, idxs)):
                 break
+        else:
+            raise BudgetExceeded(
+                f"sampled Phi_{order}: {MAX_REDRAWS} draws in a row "
+                f"broke the distinct-lag rule, so admissible tuples are "
+                f"too rare to sample; use the exact method "
+                f"(cross_correlation, --method exact)")
         v = _span(_products([arrays[i] for i in idxs], rel))
         if v > value or (v == value and (idxs, rel) < best):
             value, best = v, (idxs, rel)

@@ -12,7 +12,8 @@ import legseq.cli as cli
 import legseq.tables as tables
 from legseq.cli import main
 from legseq.constructions import BinarySequence
-from legseq.tables import TableSpec
+from legseq.ff import Poly, parse_poly
+from legseq.tables import EXAMPLES, TableSpec
 
 
 def run(capsys, *argv):
@@ -26,6 +27,17 @@ def write_seq(tmp_path, name, values, p=None):
     path = tmp_path / name
     BinarySequence(tuple(values), meta).dump(path)
     return str(path)
+
+
+def run_apart(*argv, timeout=60):
+    """`python -m legseq.cli argv` in its own process, so that a hang
+    fails the test by its timeout instead of stalling the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "legseq.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 # --- gen -------------------------------------------------------------------
@@ -118,6 +130,44 @@ def test_check_symmetric_flag(capsys):
     assert code == 0
     ids = [c["id"] for c in json.loads(out)["divisibility"]["checks"]]
     assert "g_not_divides_fh_shifts" in ids
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("p", [100003, 2**61 - 1])
+def test_check_large_p_strips_only_real_shifts(p, symmetric):
+    # a scan over all p shifts could not finish here; the verdict is not
+    # fixed, but every reported shift must really share a factor
+    spec = EXAMPLES[2]
+    f, g, h = (parse_poly(s, p) for s in (spec.f, spec.g, spec.h))
+    proc = run_apart("check", "--p", str(p), "--f", spec.f, "--g", spec.g,
+                     "--h", spec.h, *(["--symmetric"] if symmetric else []))
+    assert proc.returncode in (0, 2), proc.stderr
+    roles = {"f_not_divides_gh_shifts": (f, (g, h)),
+             "g_not_divides_h_shifts": (g, (h,)),
+             "g_not_divides_fh_shifts": (g, (f, h)),
+             "f_not_divides_h_shifts": (f, (h,))}
+    checks = json.loads(proc.stdout)["divisibility"]["checks"]
+    assert len(checks) == 2
+    for c in checks:
+        target, factors = roles[c["id"]]
+        if c["passed"]:
+            continue
+        listed = c["detail"].split("stripped at t=[", 1)[1].split("]")[0]
+        shifts = [int(t) for t in listed.split(",")]
+        assert all(1 <= t <= p for t in shifts)
+        for t in shifts:
+            prod = Poly.make((1,), p)
+            for s in factors:
+                prod = prod * s.shift(t)
+            assert not target.gcd(prod).is_constant(), (c["id"], t)
+
+
+def test_check_single_polynomial_reports_f_only(capsys):
+    code, out, _ = run(capsys, "check", "--p", "13", "--f", "x^3-x^2")
+    assert code == 2
+    checks = json.loads(out)["squarefree"]["checks"]
+    assert [c["id"] for c in checks] == ["squarefree_f"]
+    assert not checks[0]["passed"] and "repeated factor" in checks[0]["detail"]
 
 
 # --- measure ---------------------------------------------------------------
@@ -357,6 +407,18 @@ def test_crosscorr_sampled_no_admissible_tuple_exits_1(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert "no admissible" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_crosscorr_sampled_rare_admissible_tuples_exits_3(tmp_path):
+    # one member of length 16 at order 16 admits one lag tuple in ~10^6
+    # uniform draws; the redraw cap ends the run with a budget error
+    F = write_seq(tmp_path, "f.txt", [1, -1, -1, 1] * 4)
+    proc = run_apart("crosscorr", F, "--order", "16", "--method", "sampled",
+                     "--samples", "20")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exact" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,14 +1,17 @@
 """Validity condition checkers."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from legseq.conditions import (check_correlation_order,
                                check_divisibility_condition,
                                check_divisibility_condition_symmetric,
-                               check_squarefree_triple, check_theorem2_sets,
+                               check_squarefree, check_squarefree_triple,
+                               check_theorem2_sets, _dispersion,
                                _strip_by_shifts)
 from legseq.constructions import PolyTriple, build_theorem2_polys
-from legseq.ff import Poly, QnrSet, legendre, parse_poly
+from legseq.ff import Poly, QnrSet, is_prime, legendre, parse_poly
 
 
 def triple(f, g, h, p):
@@ -35,6 +38,13 @@ def test_squarefree_fail_names_offender():
     bad = rep.check("squarefree_f")
     assert not bad.passed and "f" in bad.detail
     assert rep.check("squarefree_g").passed
+
+
+def test_single_squarefree_check_matches_triple_entry():
+    for text in ("x^2-2", "x^2", "x^3-x"):
+        f = parse_poly(text, 13)
+        full = check_squarefree_triple(PolyTriple(f, f, f))
+        assert check_squarefree("f", f) == full.check("squarefree_f")
 
 
 # --- divisibility ----------------------------------------------------------
@@ -111,6 +121,75 @@ def test_strip_scan_order_is_irrelevant():
         fwd = _strip_by_shifts(t.f, (t.g, t.h), range(1, p + 1))
         rev = _strip_by_shifts(t.f, (t.g, t.h), range(p, 0, -1))
         assert fwd.passed == rev.passed
+
+
+def _shifted_product(factors, t):
+    out = Poly.make((1,), factors[0].p)
+    for f in factors:
+        out = out * f.shift(t)
+    return out
+
+
+SMALL_PRIMES = [q for q in range(11, 400) if is_prime(q)]
+
+
+@st.composite
+def strip_cases(draw, primes):
+    """(target, factors): a squarefree target and one or two factors,
+    which may carry a shifted copy of the target or of one of its
+    factors, so that failing cases are common."""
+    p = draw(st.sampled_from(primes))
+    poly = lambda lo, hi: Poly.make(draw(st.lists(  # noqa: E731
+        st.integers(0, p - 1), min_size=lo, max_size=hi)) + [1], p)
+    target = poly(1, 3)
+    if draw(st.booleans()):
+        target = target * poly(1, 2)
+    assume(target.degree < p and target.is_squarefree())
+    factors = [poly(1, 3) for _ in range(draw(st.integers(1, 2)))]
+    for i in range(len(factors)):
+        plant = draw(st.sampled_from(("none", "target", "piece")))
+        if plant == "target":
+            factors[i] = factors[i] * target.shift(draw(st.integers(0, p)))
+        elif plant == "piece":
+            piece = target.gcd(poly(0, 1) * poly(0, 1))
+            if not piece.is_constant():
+                factors[i] = piece.shift(draw(st.integers(0, p)))
+    return target, tuple(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strip_cases(SMALL_PRIMES))
+def test_dispersion_scan_equals_full_scan(case):
+    target, factors = case
+    p = target.p
+    oracle = _strip_by_shifts(target, factors, range(1, p + 1))
+    assert _strip_by_shifts(target, factors,
+                            _dispersion(target, factors)) == oracle
+    expected = [t for t in range(1, p + 1) if not target.gcd(
+        _shifted_product(factors, t)).is_constant()]
+    if all(target.degree * f.degree < p for f in factors):
+        assert list(_dispersion(target, factors)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(strip_cases([3, 5, 7]))
+def test_dispersion_fallback_at_tiny_p(case):
+    # deg target * deg factor >= p leaves too few interpolation points,
+    # so every shift 1..p is scanned
+    target, factors = case
+    p = target.p
+    oracle = _strip_by_shifts(target, factors, range(1, p + 1))
+    disp = _dispersion(target, factors)
+    assert _strip_by_shifts(target, factors, disp) == oracle
+    if any(target.degree * f.degree >= p for f in factors):
+        assert list(disp) == list(range(1, p + 1))
+
+
+def test_dispersion_reports_t_p_for_the_unshifted_copy():
+    p = 13
+    f = parse_poly("x^2+x+3", p)
+    assert _dispersion(f, (f,)) == [p]
+    assert _dispersion(f, (f.shift(5),)) == [p - 5]
 
 
 # --- set conditions --------------------------------------------------------

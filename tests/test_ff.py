@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legseq.ff import (Poly, PrimeModulus, QnrSet, ZeroDivisorError,
-                       is_prime, is_primitive_root, legendre, legendre_table,
-                       parse_poly, powmod)
+                       interpolate, is_prime, is_primitive_root, legendre,
+                       legendre_table, parse_poly, powmod, resultant, roots)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 101, 499, 997]
 
@@ -29,6 +29,17 @@ def test_prime_modulus_rejects_bad_inputs():
         with pytest.raises(ValueError):
             PrimeModulus(bad)
     assert int(PrimeModulus(2003)) == 2003
+
+
+def test_poly_moduli_validated_on_every_call():
+    # a valid int modulus is cached; a bad one must raise every time,
+    # and values equal to a cached prime but of another type still fail
+    assert Poly.make((1, 1), 7).p == 7
+    for _ in range(2):
+        for bad in (9, 2, 2**63 + 9, 7.0, True, "7", None):
+            with pytest.raises(ValueError):
+                Poly.make((1, 1), bad)
+    assert Poly.make((1, 1), PrimeModulus(7)).p == 7
 
 
 def test_powmod_examples():
@@ -221,3 +232,116 @@ def test_qnr_set():
         QnrSet.make([4], 13)  # 4 = 2^2 is a QR
     with pytest.raises(ValueError):
         QnrSet.make([], 13)
+
+
+# --- resultants, interpolation and roots -----------------------------------
+
+
+def _det_mod(rows, p):
+    """Determinant of a square integer matrix mod p, by elimination."""
+    m = [[v % p for v in row] for row in rows]
+    n, det = len(m), 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
+
+def _sylvester_resultant(a, b):
+    """Res(a, b) as the Sylvester determinant, straight from the
+    definition."""
+    m, n = a.degree, b.degree
+    hi_a, hi_b = a.coeffs[::-1], b.coeffs[::-1]  # leading first
+    rows = [[0] * i + list(hi_a) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(hi_b) + [0] * (m - 1 - i) for i in range(m)]
+    return _det_mod(rows, a.p)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([3, 5, 7, 13]),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_resultant_matches_sylvester_determinant(p, ca, cb):
+    a, b = Poly.make(ca, p), Poly.make(cb, p)
+    if a.is_zero() or b.is_zero():
+        assert resultant(a, b) == 0
+        return
+    if a.degree == 0 or b.degree == 0:
+        expected = pow(a.coeffs[0], b.degree, p) if a.degree == 0 \
+            else pow(b.coeffs[0], a.degree, p)
+    else:
+        expected = _sylvester_resultant(a, b)
+    assert resultant(a, b) == expected
+    # a common root in the algebraic closure is a nonconstant gcd
+    assert (resultant(a, b) == 0) == (not a.gcd(b).is_constant())
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=4),
+       st.lists(st.integers(0, 12), min_size=1, max_size=4))
+def test_resultant_of_split_polys_is_product_of_root_differences(ra, rb):
+    p = 13
+    lin = lambda r: Poly.make((-r, 1), p)  # noqa: E731
+    a, b = Poly.make((1,), p), Poly.make((1,), p)
+    for r in ra:
+        a = a * lin(r)
+    for r in rb:
+        b = b * lin(r)
+    expected = 1
+    for x in ra:
+        for y in rb:
+            expected = expected * (x - y) % p
+    assert resultant(a, b) == expected
+
+
+@given(st.sampled_from([5, 13, 101]), st.data())
+def test_interpolate_recovers_polynomial(p, data):
+    n = data.draw(st.integers(1, min(p, 12)))
+    xs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n,
+                            unique=True))
+    f = Poly.make(data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                     max_size=n)), p)
+    g = interpolate(xs, [f(x) for x in xs], p)
+    assert g == f
+    assert g.degree < n
+
+
+def test_interpolate_examples_and_errors():
+    assert interpolate([], [], 7) == Poly.zero(7)
+    assert interpolate([3], [5], 7) == Poly.make((5,), 7)
+    # the line through (0, 1) and (1, 3) is 2x + 1
+    assert interpolate([0, 1], [1, 3], 7) == Poly.make((1, 2), 7)
+    with pytest.raises(ValueError):
+        interpolate([1, 8], [0, 1], 7)  # 1 = 8 mod 7
+    with pytest.raises(ValueError):
+        interpolate([1, 2], [0], 7)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([3, 5, 7, 11, 13, 101]),
+       st.lists(st.integers(0, 100), min_size=1, max_size=8))
+def test_roots_match_exhaustive_evaluation(p, coeffs):
+    f = Poly.make(coeffs, p)
+    if f.is_zero():
+        with pytest.raises(ValueError):
+            roots(f)
+        return
+    assert roots(f) == [x for x in range(p) if f(x) == 0]
+
+
+def test_roots_of_planted_products():
+    for p in (3, 7, 997, 2**61 - 1):
+        want = sorted({0, 1, p - 1, (p - 1) // 2, 12345 % p})
+        f = parse_poly("x^2+1", p) if p % 4 == 3 else Poly.make((1,), p)
+        for r in want:
+            f = f * Poly.make((-r, 1), p) * Poly.make((-r, 1), p)
+        assert roots(f) == want
+    assert roots(Poly.make((5,), 7)) == []
