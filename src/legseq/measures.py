@@ -1,11 +1,11 @@
 """Exact and sampled pseudorandomness measures of binary sequences.
 
 Implements the well-distribution measure W, the order-l correlation
-measure C_l, a seeded sampling estimator for infeasible exact cases, and
-the family cross-correlation measure Phi_l.  Every exact result carries
-a deterministic witness (the argmax tuple) that re-evaluates to the
-reported value; ties are broken toward the lexicographically smallest
-witness, so results are independent of evaluation schedule.
+measure C_l, the family cross-correlation measure Phi_l, and seeded
+sampling estimators for infeasible exact cases.  Every result carries a
+deterministic witness that re-evaluates to the reported value.  An exact
+witness is the lexicographically smallest achieving one; a sampled
+witness is the first window of the smallest achieving draw.
 
 Every measure reduces to the range (max - min) of the prefix walk of a
 +-1 sequence: a residue class of a step b for W, a lag product for C_l
@@ -13,6 +13,13 @@ and Phi_l.  One finder, `_range_window`, turns a walk and its range into
 the first window attaining it.  Exact W scans steps b in increasing
 order and stops once ceil(N/b), the length of the longest class, cannot
 beat the running best, which costs O(N * ceil(N/W)) instead of O(N^2).
+
+C_l is Phi_l of the one-member family {E}: equal members may not share
+a lag, so its lags are strictly increasing.  One engine, `_score`,
+serves exact and sampled C_l and Phi_l.  It takes (member tuple, lag
+tuples) batches of at most CELLS // N rows, streamed in lexicographic
+order or drawn first by the seeded sampler, and takes every row's range
+from one int32 cumsum over int8 shifted views of the members.
 
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for small sequences and are used only by tests.
@@ -22,11 +29,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, islice,
+                       product)
 from math import comb
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constructions import BinarySequence
 
@@ -39,6 +48,9 @@ _ORACLE_LIMIT = 64
 # that is admissible with probability q fails this often in a row with
 # probability (1 - q)^MAX_REDRAWS, below e^-16 for q >= 10^-3
 MAX_REDRAWS = 2**14
+
+# the engine scores at most CELLS // N lag tuples of length-N members at once
+CELLS = 2**16
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,13 +100,7 @@ def evaluate_corr_witness(E: BinarySequence, D: tuple, M: int) -> int:
         raise ValueError("lags must be strictly increasing")
     if not (D[0] >= 0 and M >= 1 and M + D[-1] <= E.n):
         raise ValueError("invalid correlation witness")
-    s = 0
-    for n in range(1, M + 1):
-        prod = 1
-        for d in D:
-            prod *= E[n + d - 1]
-        s += prod
-    return abs(s)
+    return evaluate_cross_witness([E], (1,) * len(D), D, M)
 
 
 def evaluate_cross_witness(family, indices: tuple, D: tuple, M: int) -> int:
@@ -120,25 +126,82 @@ def evaluate_cross_witness(family, indices: tuple, D: tuple, M: int) -> int:
     return abs(s)
 
 
-def _walk(a):
-    """Prefix sums of a with a leading 0, in int64."""
-    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(a)])
+def _views(family):
+    """int8 shifted members: views[i, d, j] is member i's 0-based entry
+    d + j, and 0 past its end.  Lags are nondecreasing, so a product that
+    leaves the overlap is 0, and a 0 tail only repeats the walk's last
+    prefix."""
+    N = family[0].n
+    pad = np.zeros((len(family), 2 * N), dtype=np.int8)
+    pad[:, :N] = [s.values for s in family]
+    return sliding_window_view(pad, N, axis=1)
 
 
-def _span(a) -> int:
-    """Range max - min of the walk of a: the largest |window sum|."""
-    P = a.cumsum()
-    return max(int(P.max()), 0) - min(int(P.min()), 0)
-
-
-def _products(arrays, rel):
-    """a_m = prod_k arrays[k][m + rel[k]] for every m that keeps each
-    index inside its array; rel is nondecreasing with rel[0] = 0."""
-    n = len(arrays[0]) - rel[-1]
-    a = arrays[0][:n]
-    for arr, d in zip(arrays[1:], rel[1:]):
-        a = a * arr[d: n + d]
+def _products(views, idxs, R):
+    """Row r is prod_k views[idxs[k]][R[r, k], :n], where
+    n = N - min(R[:, -1]) is the widest overlap in the batch."""
+    n = views.shape[2] - int(R[:, -1].min())
+    a = views[idxs[0]][R[:, 0], :n]
+    for i, lags in zip(idxs[1:], R[:, 1:].T):
+        a *= views[i][lags, :n]
     return a
+
+
+def _batches(views, idxs, rels, pairs=()):
+    """(idxs, R) batches of the lag tuples rels, each starting with 0, at
+    most max(1, CELLS // N) rows each.  Rows that put the equal members
+    of a pair (i, j) on one lag are dropped; empty batches are skipped."""
+    rels = iter(rels)
+    while chunk := list(islice(rels, max(1, CELLS // views.shape[2]))):
+        R = np.array(chunk, dtype=np.intp)
+        for i, j in pairs:
+            R = R[R[:, i] != R[:, j]]
+        if len(R):
+            yield idxs, R
+
+
+def _score(views, batches):
+    """The largest walk range over all batches, and every (idxs, rel)
+    attaining it."""
+    value, achieving = -1, []
+    for idxs, R in batches:
+        P = _products(views, idxs, R).cumsum(axis=1, dtype=np.int32)
+        spans = np.maximum(P.max(axis=1), 0) - np.minimum(P.min(axis=1), 0)
+        v = int(spans.max())
+        if v > value:
+            value, achieving = v, []
+        if v == value:
+            achieving += [(idxs, tuple(r)) for r in R[spans == v].tolist()]
+    return value, achieving
+
+
+def _witness(views, value, idxs, rel):
+    """(member indices 1-based, D, M) of the first window of the
+    (idxs, rel) walk whose sum has absolute value `value`."""
+    a = _products(views, idxs, np.array([rel], dtype=np.intp))[0]
+    start, M = _range_window(np.concatenate(([0], a.cumsum())), value)
+    return tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M
+
+
+def _exact(views, eq, order):
+    """Value and lexicographically smallest witness over every member
+    tuple and every admissible nondecreasing lag tuple."""
+    lags = range(views.shape[2])
+    value, achieving = _score(views, (
+        batch for idxs in product(range(len(eq)), repeat=order)
+        for batch in _batches(views, idxs, (
+            (0,) + r for r in combinations_with_replacement(lags, order - 1)),
+            _equal_pairs(eq, idxs))))
+    return value, min(_witness(views, value, *a) for a in achieving)
+
+
+def _sampled(views, draws):
+    """Value over the drawn lag tuples, draws[idxs] those of member tuple
+    idxs, and the witness of the smallest achieving (idxs, rel)."""
+    value, achieving = _score(views, (
+        batch for idxs, rels in draws.items()
+        for batch in _batches(views, idxs, rels)))
+    return value, _witness(views, value, *min(achieving))
 
 
 def _range_window(walk, value):
@@ -221,52 +284,32 @@ def well_distribution(E: BinarySequence, threads: int = 1) -> MeasureResult:
                          elapsed=time.perf_counter() - t0)
 
 
-def _corr_tuple_count(N: int, order: int) -> int:
-    return comb(N - 1, order - 1)
+def _check_order(E: BinarySequence, order: int):
+    if order < 2:
+        raise ValueError("correlation order must be >= 2")
+    if order >= E.n:
+        raise ValueError("correlation order must be below the length")
 
 
 def correlation(E: BinarySequence, order: int,
                 budget: int = DEFAULT_BUDGET,
                 threads: int = 1) -> MeasureResult:
-    """Exact C_l(E) by lag enumeration.
+    """Exact C_l(E), computed as Phi_l of the one-member family {E}.
 
-    The sum over n = 1..M with lags D equals a contiguous window sum of
-    the product sequence with relative lags d_i - d_1, so scanning
-    max prefix minus min prefix per lag tuple is exact.  Refuses when
-    (number of lag tuples) * N exceeds the work budget.  threads is
-    accepted and ignored.
+    The sum over n = 1..M with lags D is a window sum of the product
+    sequence with relative lags d_i - d_1, so the walk range of each lag
+    tuple is exact; the engine scores them in batches of at most
+    CELLS // N.  The witness (D, M) is the lexicographically smallest.
+    Refuses when (number of lag tuples) * N exceeds the work budget.
+    threads is accepted and ignored.
     """
     t0 = time.perf_counter()
-    if order < 2:
-        raise ValueError("correlation order must be >= 2")
-    N = E.n
-    if order >= N:
-        raise ValueError("correlation order must be below the length")
-    if _corr_tuple_count(N, order) * N > budget:
-        raise BudgetExceeded(
-            f"exact C_{order} needs {_corr_tuple_count(N, order) * N} steps "
-            f"(budget {budget}); use correlation_sampled"
-        )
-    arrays = [E.array()] * order
-
-    value = -1
-    achieving = []
-    for lags in combinations(range(1, N), order - 1):
-        v = _span(_products(arrays, (0,) + lags))
-        if v > value:
-            value = v
-            achieving = [lags]
-        elif v == value:
-            achieving.append(lags)
-
-    witness = None  # (D..., M)
-    for lags in achieving:
-        start, M = _range_window(
-            _walk(_products(arrays, (0,) + lags)), value)
-        cand = tuple([start] + [start + d for d in lags]) + (M,)
-        if witness is None or cand < witness:
-            witness = cand
-    D, M = witness[:-1], witness[-1]
+    _check_order(E, order)
+    steps = comb(E.n - 1, order - 1) * E.n
+    if steps > budget:
+        raise BudgetExceeded(f"exact C_{order} needs {steps} steps "
+                             f"(budget {budget}); use correlation_sampled")
+    value, (_, D, M) = _exact(_views([E]), [[True]], order)
     return MeasureResult("C", order, value, (D, M),
                          elapsed=time.perf_counter() - t0)
 
@@ -304,46 +347,31 @@ class SplitMix64:
 
 def correlation_sampled(E: BinarySequence, order: int, samples: int,
                         seed: int = DEFAULT_SEED) -> MeasureResult:
-    """Lower bound on C_l from `samples` uniformly drawn lag tuples, each
-    scanned exactly over all windows.  Deterministic for a fixed seed."""
+    """Lower bound on C_l from `samples` uniformly drawn lag tuples, drawn
+    first and then scored exactly over all windows by the engine.  The
+    witness is the first window of the smallest achieving drawn lag
+    tuple.  Deterministic for a fixed seed; exact when samples reaches
+    the number of lag tuples."""
     t0 = time.perf_counter()
-    if order < 2:
-        raise ValueError("correlation order must be >= 2")
+    _check_order(E, order)
     N = E.n
-    if order >= N:
-        raise ValueError("correlation order must be below the length")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    total = _corr_tuple_count(N, order)
-    if samples >= total:
-        exact = correlation(E, order)
-        return MeasureResult("C", order, exact.value, exact.witness,
-                             method="sampled", samples=samples, seed=seed,
-                             elapsed=time.perf_counter() - t0)
-    rng = SplitMix64(seed)
-    arrays = [E.array()] * order
-    value = -1
-    best_lags = None
-    for _ in range(samples):
-        lags = rng.lag_tuple(N, order)
-        v = _span(_products(arrays, (0,) + lags))
-        if v > value or (v == value and lags < best_lags):
-            value, best_lags = v, lags
-    start, M = _range_window(
-        _walk(_products(arrays, (0,) + best_lags)), value)
-    witness = (tuple([start] + [start + d for d in best_lags]), M)
-    return MeasureResult("C", order, value, witness, method="sampled",
+    views = _views([E])
+    if samples >= comb(N - 1, order - 1):
+        value, (_, D, M) = _exact(views, [[True]], order)
+    else:
+        rng = SplitMix64(seed)
+        value, (_, D, M) = _sampled(views, {(0,) * order: [
+            (0,) + rng.lag_tuple(N, order) for _ in range(samples)]})
+    return MeasureResult("C", order, value, (D, M), method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
 
 
-def _cross_tuple_count(m: int, N: int, order: int) -> int:
-    return m**order * comb(N + order - 2, order - 1)
-
-
 def _check_family(family, order: int):
-    """Validate a family for Phi_order; returns (N, arrays, eq) where
-    eq[i][j] says whether members i and j are equal sequences."""
+    """Validate a family for Phi_order; returns eq, where eq[i][j] says
+    whether members i and j are equal sequences."""
     if not family:
         raise ValueError("empty family")
     if order < 1:
@@ -361,7 +389,7 @@ def _check_family(family, order: int):
         raise ValueError(
             f"no admissible Phi_{order} tuple: order exceeds {distinct} "
             f"distinct member(s) x length {N}")
-    return N, [s.array() for s in family], eq
+    return eq
 
 
 def _equal_pairs(eq, idxs) -> list:
@@ -376,45 +404,19 @@ def cross_correlation(family, order: int,
                       budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Exact Phi_l of a family: max |V_l| over all l-tuples of members
     (with repetition) and nondecreasing lag tuples, excluding choices
-    where two equal sequences share a lag.
-
-    Witness is (member indices 1-based, D, M), lexicographically
-    smallest.
+    where two equal sequences share a lag.  The engine streams each
+    member tuple's lag tuples in batches of at most CELLS // N.  The
+    witness (member indices 1-based, D, M) is lexicographically smallest.
     """
     t0 = time.perf_counter()
     family = list(family)
-    N, arrays, eq = _check_family(family, order)
-    m = len(family)
-    if _cross_tuple_count(m, N, order) * N > budget:
-        raise BudgetExceeded(
-            f"exact Phi_{order} needs about "
-            f"{_cross_tuple_count(m, N, order) * N} steps (budget {budget})"
-        )
-
-    value = -1
-    achieving = []  # (indices, rel_lags)
-    for idxs in product(range(m), repeat=order):
-        members = [arrays[i] for i in idxs]
-        pairs = _equal_pairs(eq, idxs)
-        for rel in combinations_with_replacement(range(N), order - 1):
-            rel = (0,) + rel  # d_1 is absorbed into the window start
-            if any(rel[i] == rel[j] for i, j in pairs):
-                continue
-            v = _span(_products(members, rel))
-            if v > value:
-                value = v
-                achieving = [(idxs, rel)]
-            elif v == value:
-                achieving.append((idxs, rel))
-
-    witness = None
-    for idxs, rel in achieving:
-        start, M = _range_window(
-            _walk(_products([arrays[i] for i in idxs], rel)), value)
-        cand = (tuple(i + 1 for i in idxs),
-                tuple(start + d for d in rel), M)
-        if witness is None or cand < witness:
-            witness = cand
+    eq = _check_family(family, order)
+    N = family[0].n
+    steps = len(family)**order * comb(N + order - 2, order - 1) * N
+    if steps > budget:
+        raise BudgetExceeded(f"exact Phi_{order} needs about {steps} "
+                             f"steps (budget {budget})")
+    value, witness = _exact(_views(family), eq, order)
     return MeasureResult("Phi", order, value, witness,
                          elapsed=time.perf_counter() - t0)
 
@@ -422,26 +424,26 @@ def cross_correlation(family, order: int,
 def cross_correlation_sampled(family, order: int, samples: int,
                               seed: int = DEFAULT_SEED) -> MeasureResult:
     """Lower bound on Phi_l from uniformly drawn (member tuple, lag tuple)
-    pairs, each scanned exactly over all windows.  Deterministic for a
-    fixed seed; draws that violate the distinct-lag restriction are
-    redrawn.  Raises BudgetExceeded after MAX_REDRAWS rejected draws in
-    a row, which happens only when admissible tuples are very rare (an
-    order close to the distinct members times N)."""
+    pairs, drawn first and then scored exactly over all windows by the
+    engine; draws that break the distinct-lag rule are redrawn.  The
+    witness is the first window of the smallest achieving draw, and the
+    result is deterministic for a fixed seed.  Raises BudgetExceeded
+    after MAX_REDRAWS rejected draws in a row, which happens only when
+    admissible tuples are very rare (an order close to the distinct
+    members times N)."""
     t0 = time.perf_counter()
     family = list(family)
-    N, arrays, eq = _check_family(family, order)
+    eq = _check_family(family, order)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    m = len(family)
+    m, N = len(family), family[0].n
     rng = SplitMix64(seed)
-    value = -1
-    best = None
+    draws = {}
     for _ in range(samples):
         for _ in range(MAX_REDRAWS):
             idxs = tuple(rng.below(m) for _ in range(order))
-            rel = (0,) + tuple(sorted(
-                rng.below(N) for _ in range(order - 1)
-            ))
+            rel = (0,) + tuple(sorted(rng.below(N)
+                                      for _ in range(order - 1)))
             if not any(rel[i] == rel[j]
                        for i, j in _equal_pairs(eq, idxs)):
                 break
@@ -451,14 +453,8 @@ def cross_correlation_sampled(family, order: int, samples: int,
                 f"broke the distinct-lag rule, so admissible tuples are "
                 f"too rare to sample; use the exact method "
                 f"(cross_correlation, --method exact)")
-        v = _span(_products([arrays[i] for i in idxs], rel))
-        if v > value or (v == value and (idxs, rel) < best):
-            value, best = v, (idxs, rel)
-    idxs, rel = best
-    start, M = _range_window(
-        _walk(_products([arrays[i] for i in idxs], rel)), value)
-    witness = (tuple(i + 1 for i in idxs),
-               tuple(start + d for d in rel), M)
+        draws.setdefault(idxs, []).append(rel)
+    value, witness = _sampled(_views(family), draws)
     return MeasureResult("Phi", order, value, witness, method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)

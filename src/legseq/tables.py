@@ -81,9 +81,8 @@ def example_triple(example: int, p: int) -> PolyTriple:
     )
 
 
-def compute_row(example: int, p: int, threads: int = 1) -> tuple:
-    """Regenerate one table row: the 8 measures in COLUMNS order.
-    threads is accepted and ignored."""
+def compute_row(example: int, p: int) -> tuple:
+    """Regenerate one table row: the 8 measures in COLUMNS order."""
     t = example_triple(example, p)
     seqs = [
         construct_single(t.f),
@@ -96,9 +95,9 @@ def compute_row(example: int, p: int, threads: int = 1) -> tuple:
     return tuple(ws + cs)
 
 
-def diff_row(example: int, p: int, threads: int = 1):
+def diff_row(example: int, p: int):
     """Computed row, expected row, and the list of mismatched cells
-    as (column, expected, computed).  threads is accepted and ignored."""
+    as (column, expected, computed)."""
     computed = compute_row(example, p)
     expected = EXAMPLES[example].expected[p]
     mismatches = [

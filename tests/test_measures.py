@@ -1,17 +1,19 @@
 """Measure engines: exact values, witnesses, oracles, sampling."""
 
 from bisect import bisect_right
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legseq import measures
 from legseq.constructions import BinarySequence, construct_single
 from legseq.ff import Poly, is_prime
-from legseq.measures import (DEFAULT_SEED, BudgetExceeded, _range_window,
-                             correlation, correlation_sampled,
+from legseq.measures import (DEFAULT_SEED, BudgetExceeded, SplitMix64,
+                             _range_window, correlation, correlation_sampled,
                              cross_correlation,
                              cross_correlation_sampled, evaluate_corr_witness,
                              evaluate_cross_witness, evaluate_w_witness,
@@ -27,11 +29,17 @@ def rand_seq(rng, n):
 
 
 def brute_cross(family, order):
+    return brute_cross_witness(family, order)[0]
+
+
+def brute_cross_witness(family, order):
     """Definitional Phi oracle: enumerate member tuples, nondecreasing D
-    and window lengths M directly."""
+    and window lengths M directly, in lexicographic order, and keep the
+    first maximum.  Returns (value, witness), the witness (member indices
+    1-based, D, M) being the lexicographically smallest."""
     N = family[0].n
     m = len(family)
-    best = -1
+    best, witness = -1, None
     for idxs in product(range(m), repeat=order):
         for D in combinations_with_replacement(range(N), order):
             bad = any(
@@ -46,8 +54,80 @@ def brute_cross(family, order):
                 for i, d in zip(idxs, D):
                     prod *= family[i][M + d - 1]
                 s += prod
-                best = max(best, abs(s))
-    return best
+                if abs(s) > best:
+                    best = abs(s)
+                    witness = (tuple(i + 1 for i in idxs), D, M)
+    return best, witness
+
+
+def walk_range(values):
+    """max - min of the prefix walk of values, with its leading 0."""
+    s = lo = hi = 0
+    for v in values:
+        s += v
+        lo, hi = min(lo, s), max(hi, s)
+    return hi - lo
+
+
+def reference_products(arrays, rel):
+    n = len(arrays[0]) - rel[-1]
+    a = arrays[0][:n]
+    for arr, d in zip(arrays[1:], rel[1:]):
+        a = a * arr[d: n + d]
+    return a
+
+
+def reference_scan(arrays, tuples):
+    """The per-tuple exact loop that the batched engine replaced: one
+    product, cumsum and range per (idxs, rel) in enumeration order, then
+    the smallest (indices 1-based, D, M) over the achieving tuples.
+    Returns (value, witness, achieving)."""
+    value, achieving = -1, []
+    for idxs, rel in tuples:
+        P = np.cumsum(reference_products([arrays[i] for i in idxs], rel))
+        v = max(int(P.max()), 0) - min(int(P.min()), 0)
+        if v > value:
+            value, achieving = v, [(idxs, rel)]
+        elif v == value:
+            achieving.append((idxs, rel))
+    witness = None
+    for idxs, rel in achieving:
+        a = reference_products([arrays[i] for i in idxs], rel)
+        start, M = _range_window(np.concatenate([[0], np.cumsum(a)]), value)
+        cand = (tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M)
+        witness = cand if witness is None else min(witness, cand)
+    return value, witness, achieving
+
+
+def reference_correlation(E, order):
+    """Exact C_l by the per-tuple loop over strictly increasing lags."""
+    value, (_, D, M), achieving = reference_scan([E.array()], (
+        ((0,) * order, (0,) + lags)
+        for lags in combinations(range(1, E.n), order - 1)))
+    return value, (D, M), achieving
+
+
+def reference_cross(family, order):
+    """Exact Phi_l by the per-tuple loop over member tuples and
+    nondecreasing lags, skipping equal members on one lag."""
+    def admissible(idxs, rel):
+        return not any(family[idxs[i]].values == family[idxs[j]].values
+                       and rel[i] == rel[j]
+                       for i in range(order) for j in range(i + 1, order))
+
+    tuples = ((idxs, (0,) + rel)
+              for idxs in product(range(len(family)), repeat=order)
+              for rel in combinations_with_replacement(range(family[0].n),
+                                                       order - 1))
+    return reference_scan([s.array() for s in family],
+                          (t for t in tuples if admissible(*t)))
+
+
+def batch_rows(rows, N):
+    """Patch the engine's cell cap so a batch holds `rows` lag tuples of
+    length-N members; None keeps the default cap."""
+    cells = measures.CELLS if rows is None else rows * N
+    return mock.patch.object(measures, "CELLS", cells)
 
 
 def reference_first_window(prefix, value):
@@ -427,3 +507,127 @@ def test_oracle_size_limits():
         oracle_well_distribution(big)
     with pytest.raises(ValueError):
         oracle_correlation(big, 2)
+
+
+# --- tie-breaks --------------------------------------------------------------
+
+
+def test_phi_witness_matches_brute_force(rng):
+    # up to 3 members drawn from 2 sequences, so repeated members are common
+    for _ in range(25):
+        N = int(rng.integers(1, 11))
+        pool = [rand_seq(rng, N) for _ in range(2)]
+        fam = [pool[int(i)] for i in rng.integers(0, 2, rng.integers(1, 4))]
+        distinct = len({s.values for s in fam})
+        for order in (1, 2, 3):
+            if order > distinct * N:
+                continue
+            res = cross_correlation(fam, order)
+            assert (res.value, res.witness) == brute_cross_witness(fam, order)
+
+
+def seq_of(signs):
+    return BinarySequence(tuple(1 if c == "+" else -1 for c in signs))
+
+
+def test_sampled_c_tie_picks_smallest_lags():
+    # seed 12 draws lag 4 before lag 1, both of the largest range, 7
+    E, seed, samples = seq_of("++-+---+-++-+--+++-+-"), 12, 8
+    rng = SplitMix64(seed)
+    draws = [rng.lag_tuple(E.n, 2) for _ in range(samples)]
+    ranges = [walk_range(E[i] * E[i + d] for i in range(E.n - d))
+              for (d,) in draws]
+    ties = [lags for lags, v in zip(draws, ranges) if v == max(ranges)]
+    assert len(ties) >= 2 and ties[0] != min(ties)
+    res = correlation_sampled(E, 2, samples, seed=seed)
+    D, M = res.witness
+    assert res.value == max(ranges)
+    assert (D[1] - D[0],) == min(ties)
+    assert evaluate_corr_witness(E, D, M) == res.value
+
+
+def test_sampled_phi_tie_picks_smallest_draw():
+    # distinct members, so a draw is rejected only when one member
+    # repeats on one lag; seed 12 draws members (1, 0) at lags (0, 5)
+    # before members (0, 0) at lags (0, 7), both of the largest range, 2
+    fam = [seq_of("+--+-++-+"), seq_of("-++--+-++")]
+    seed, samples, order, m, N = 12, 6, 2, 2, 9
+    rng = SplitMix64(seed)
+    draws = []
+    while len(draws) < samples:
+        idxs = tuple(rng.below(m) for _ in range(order))
+        rel = (0,) + tuple(sorted(rng.below(N) for _ in range(order - 1)))
+        if not (idxs[0] == idxs[1] and rel[0] == rel[1]):
+            draws.append((idxs, rel))
+    ranges = [walk_range(fam[i][n + a] * fam[j][n + b]
+                         for n in range(N - b))
+              for (i, j), (a, b) in draws]
+    ties = [d for d, v in zip(draws, ranges) if v == max(ranges)]
+    assert len(ties) >= 2 and ties[0] != min(ties)
+    res = cross_correlation_sampled(fam, order, samples, seed=seed)
+    idxs, D, M = res.witness
+    assert res.value == max(ranges)
+    assert (tuple(i - 1 for i in idxs), tuple(d - D[0] for d in D)) \
+        == min(ties)
+    assert evaluate_cross_witness(fam, idxs, D, M) == res.value
+
+
+# --- batched engine against the per-tuple loop -------------------------------
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_engine_matches_per_tuple_loop_correlation(data):
+    order = data.draw(st.sampled_from([2, 3]))
+    vals = data.draw(st.lists(st.sampled_from([-1, 1]),
+                              min_size=order + 1, max_size=300))
+    rows = data.draw(st.sampled_from([1, 7, None]))
+    E = BinarySequence(tuple(vals))
+    with batch_rows(rows, E.n):
+        res = correlation(E, order)
+        phi = cross_correlation([E], order)
+    value, witness, _ = reference_correlation(E, order)
+    assert (res.value, res.witness) == (value, witness)
+    assert phi.value == res.value and phi.witness[1:] == res.witness
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_engine_matches_per_tuple_loop_cross(data):
+    N = data.draw(st.integers(1, 14))
+    pool = data.draw(st.lists(
+        st.lists(st.sampled_from([-1, 1]), min_size=N, max_size=N),
+        min_size=1, max_size=3))
+    fam = [BinarySequence(tuple(pool[i])) for i in data.draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=3))]
+    order = data.draw(st.integers(1, 4))
+    distinct = len({s.values for s in fam})
+    rows = data.draw(st.sampled_from([1, 5, None]))
+    if order > distinct * N:
+        return
+    with batch_rows(rows, N):
+        res = cross_correlation(fam, order)
+    value, witness, _ = reference_cross(fam, order)
+    assert (res.value, res.witness) == (value, witness)
+
+
+def test_engine_ties_across_batches():
+    # lags 2 and 4 both reach 8, and lag 4, in the later batch, has the
+    # smaller witness
+    E = seq_of("+-+-+-+--++--++-")
+    value, witness, achieving = reference_correlation(E, 2)
+    assert [rel for _, rel in achieving] == [(0, 2), (0, 4)]
+    assert witness == ((0, 4), 12)
+    for rows in (1, None):
+        with batch_rows(rows, E.n):
+            res = correlation(E, 2)
+        assert (res.value, res.witness) == (value, witness)
+
+
+def test_engine_skips_member_tuple_with_every_lag_masked():
+    # at N = 1 every lag is 0, so (F, F) has no admissible lag tuple
+    F, G = BinarySequence((1,)), BinarySequence((-1,))
+    res = cross_correlation([F, F, G], 2)
+    value, witness, _ = reference_cross([F, F, G], 2)
+    assert (res.value, res.witness) == (value, witness) == (1, ((1, 3),
+                                                              (0, 0), 1))
