@@ -7,9 +7,12 @@ sequences under a switch sequence), crosscorr (family cross-correlation)
 and bounds (print the theoretical bound formulas).
 
 Exit codes: 0 success, 1 input error, 2 condition failure, 3 work budget
-exceeded, 4 table mismatch.  All configuration is via flags so runs are
-reproducible; identical invocations produce byte-identical reports aside
-from the timing field.
+exceeded, 4 table mismatch.  `main` is the one place that maps
+exceptions to them: ValueError and OSError to 1, BudgetExceeded to 3,
+and CliError, raised for messages the CLI words itself, to its own code.
+argparse usage errors exit 1 through `_Parser`.  All configuration is via
+flags so runs are reproducible; identical invocations produce
+byte-identical reports aside from the timing field.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1: 2 means a failed condition."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _parse_qnr_sets(tokens, p):
     sets = {}
     for tok in tokens:
@@ -57,68 +68,55 @@ def _parse_qnr_sets(tokens, p):
         if name not in ("A", "B", "C") or not body:
             raise CliError(f"bad set spec {tok!r}; expected e.g. A=2,5")
         try:
-            elems = [int(x) for x in body.split(",")]
+            sets[name] = [int(x) for x in body.split(",")]
         except ValueError:
             raise CliError(f"bad set spec {tok!r}") from None
-        sets[name] = elems
     if set(sets) != {"A", "B", "C"}:
         raise CliError("need all three sets A=..., B=..., C=...")
-    try:
-        return (QnrSet.make(sets["A"], p), QnrSet.make(sets["B"], p),
-                QnrSet.make(sets["C"], p))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return tuple(QnrSet.make(sets[name], p) for name in "ABC")
 
 
 def _build_inputs(args):
-    """Resolve --f/--g/--h or --theorem2 into polynomials; returns
-    (p, single_poly_or_None, triple_or_None, qnr_sets_or_None)."""
-    try:
-        p = PrimeModulus(args.p).p
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if getattr(args, "theorem2", None):
+    """Turn the input flags into (p, single, triple, reports, build): a
+    lone --f or the triple, the checks keyed by name, and the sequence's
+    builder.  `measure --in FILE` gives no polynomials and no checks."""
+    poly_flags = (args.f, args.g, args.h)
+    if getattr(args, "infile", None):
+        if args.p is not None or args.theorem2 or poly_flags != (None,) * 3:
+            raise CliError("--in cannot be combined with other input flags")
+        seq = BinarySequence.load(args.infile)
+        return seq.meta.get("p"), None, None, {}, lambda: seq
+    if args.p is None:
+        raise CliError("need --in FILE or --p with polynomials")
+    p = PrimeModulus(args.p).p
+    reports = {}
+    if args.theorem2:
+        if poly_flags != (None,) * 3:
+            raise CliError("--theorem2 cannot be combined with --f/--g/--h")
         sets = _parse_qnr_sets(args.theorem2, p)
-        try:
-            triple = build_theorem2_polys(*sets)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        return p, None, triple, sets
-    if args.f is None:
+        triple = build_theorem2_polys(*sets)
+        reports["theorem2_sets"] = check_theorem2_sets(*sets)
+    elif args.f is None:
         raise CliError("need --f (optionally with --g and --h) or --theorem2")
-    try:
+    else:
         f = parse_poly(args.f, p)
         if (args.g is None) != (args.h is None):
             raise CliError("--g and --h must be given together")
-        if args.g is not None:
-            triple = PolyTriple(f, parse_poly(args.g, p), parse_poly(args.h, p))
-            return p, None, triple, None
-        if f.degree < 1:
-            raise CliError("constant polynomial")
-        return p, f, None, None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _run_checks(p, single, triple, sets, symmetric=False):
-    """Condition reports for the given inputs, keyed by check name."""
-    out = {}
-    try:
-        if sets is not None:
-            out["theorem2_sets"] = check_theorem2_sets(*sets)
-        if triple is not None:
-            out["squarefree"] = check_squarefree_triple(triple)
-            if out["squarefree"].overall:
-                out["divisibility"] = (
-                    check_divisibility_condition_symmetric(triple)
-                    if symmetric else check_divisibility_condition(triple))
-        else:
+        if args.g is None:
+            if f.degree < 1:
+                raise CliError("constant polynomial")
             # single-polynomial rule only needs f itself squarefree
-            out["squarefree"] = ConditionReport(
-                (check_squarefree("f", single),))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return out
+            reports["squarefree"] = ConditionReport(
+                (check_squarefree("f", f),))
+            return p, f, None, reports, lambda: construct_single(f)
+        triple = PolyTriple(f, parse_poly(args.g, p), parse_poly(args.h, p))
+    reports["squarefree"] = check_squarefree_triple(triple)
+    if reports["squarefree"].overall:
+        reports["divisibility"] = (
+            check_divisibility_condition_symmetric(triple)
+            if getattr(args, "symmetric", False)
+            else check_divisibility_condition(triple))
+    return p, None, triple, reports, lambda: construct_triple(triple)
 
 
 def _checks_pass(reports):
@@ -134,8 +132,7 @@ def _emit(text, path):
 
 
 def cmd_gen(args):
-    p, single, triple, sets = _build_inputs(args)
-    reports = _run_checks(p, single, triple, sets)
+    p, _, _, reports, build = _build_inputs(args)
     if not _checks_pass(reports) and not args.skip_checks:
         for name, rep in reports.items():
             for c in rep.checks:
@@ -144,7 +141,7 @@ def cmd_gen(args):
                           file=sys.stderr)
         raise CliError("validity conditions failed (use --skip-checks "
                        "to generate anyway)", EXIT_CONDITION)
-    seq = construct_single(single) if single else construct_triple(triple)
+    seq = build()
     if args.truncate_half:
         half = (p + 1) // 2
         seq = BinarySequence(seq.values[:half], dict(seq.meta))
@@ -153,8 +150,7 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    p, single, triple, sets = _build_inputs(args)
-    reports = _run_checks(p, single, triple, sets, symmetric=args.symmetric)
+    reports = _build_inputs(args)[3]
     payload = {name: rep.to_json() for name, rep in reports.items()}
     payload["overall"] = _checks_pass(reports)
     print(json.dumps(payload, indent=2))
@@ -162,17 +158,13 @@ def cmd_check(args):
 
 
 def _measure_sequence(seq, args):
-    """Measure W and the requested correlation orders; returns
-    (measures, budget_error_or_None)."""
-    measures = []
+    """W and the requested correlation orders of seq, in that order."""
     if args.oracle:
-        measures.append(oracle_well_distribution(seq))
-    else:
-        measures.append(well_distribution(seq))
+        return ([oracle_well_distribution(seq)]
+                + [oracle_correlation(seq, order) for order in args.orders])
+    measures = [well_distribution(seq)]
     for order in args.orders:
-        if args.oracle:
-            measures.append(oracle_correlation(seq, order))
-        elif args.method == "sampled":
+        if args.method == "sampled":
             measures.append(correlation_sampled(
                 seq, order, args.samples, seed=args.seed))
         else:
@@ -183,26 +175,9 @@ def _measure_sequence(seq, args):
 def cmd_measure(args):
     t0 = time.perf_counter()
     args.orders = _parse_orders(args.orders)
-    if args.infile:
-        try:
-            seq = BinarySequence.load(args.infile)
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc)) from None
-        p = seq.meta.get("p")
-        single = triple = sets = None
-        reports = {}
-    else:
-        if args.p is None:
-            raise CliError("need --in FILE or --p with polynomials")
-        p, single, triple, sets = _build_inputs(args)
-        reports = _run_checks(p, single, triple, sets)
-        seq = construct_single(single) if single else construct_triple(triple)
-    try:
-        measures = _measure_sequence(seq, args)
-    except BudgetExceeded as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    p, single, triple, reports, build = _build_inputs(args)
+    seq = build()
+    measures = _measure_sequence(seq, args)
 
     bound_reports = []
     if single is not None or triple is not None:
@@ -220,7 +195,13 @@ def cmd_measure(args):
                 f"C{order}", {"k": k, "p": p, "order": order},
                 fn(order, k, p), measured=res.value,
                 guaranteed=guaranteed and corder.overall))
+    return _report(args, t0, seq.n, measures, bound_reports, p, single,
+                   triple, reports)
 
+
+def _report(args, t0, n, measures, bound_reports, p=None, single=None,
+            triple=None, conditions=None):
+    """Write the JSON report of measure or crosscorr; timing from t0."""
     report = {
         "version": __version__,
         "p": p,
@@ -230,8 +211,8 @@ def cmd_measure(args):
             "g": str(triple.g) if triple else None,
             "h": str(triple.h) if triple else None,
         },
-        "n": seq.n,
-        "conditions": {k: v.to_json() for k, v in reports.items()},
+        "n": n,
+        "conditions": {k: v.to_json() for k, v in (conditions or {}).items()},
         "measures": [m.to_json() for m in measures],
         "bounds": [b.to_json() for b in bound_reports],
         "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
@@ -300,68 +281,38 @@ def cmd_table(args):
 
 
 def cmd_combine(args):
-    try:
-        F, G, H = (BinarySequence.load(path) for path in args.files)
-        if args.check_distinct:
-            if (F.values == G.values or F.values == H.values
-                    or G.values == H.values):
-                raise CliError("sequences must be pairwise distinct",
-                               EXIT_CONDITION)
-        seq = construct_combined(F, G, H)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    F, G, H = (BinarySequence.load(path) for path in args.files)
+    if args.check_distinct and len({F.values, G.values, H.values}) != 3:
+        raise CliError("sequences must be pairwise distinct", EXIT_CONDITION)
+    seq = construct_combined(F, G, H)
     _emit(seq.dumps(), args.out)
     return EXIT_OK
 
 
 def cmd_crosscorr(args):
     t0 = time.perf_counter()
-    try:
-        family = [BinarySequence.load(path) for path in args.files]
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    family = [BinarySequence.load(path) for path in args.files]
     order = args.order
-    measures = []
     bound_reports = []
-    try:
-        if args.theorem3:
-            if len(family) != 3:
-                raise CliError("--theorem3 needs exactly three files")
-            vals = [s.values for s in family]
-            if len({vals[0], vals[1], vals[2]}) != 3:
-                raise CliError("--theorem3 needs pairwise distinct "
-                               "sequences", EXIT_CONDITION)
-            phi = {}
-            for k in range(order, 2 * order + 1):
-                res = _phi(family, k, args)
-                phi[k] = res.value
-                measures.append(res)
-            combined = construct_combined(*family)
-            cres = correlation(combined, order, budget=args.budget)
-            measures.append(cres)
-            bnd = bound_theorem3(order, phi)
-            bound_reports.append(BoundReport(
-                f"C{order}_combined", {"order": order}, float(bnd),
-                measured=cres.value,
-                guaranteed=all(m.method == "exact" for m in measures)))
-        else:
-            measures.append(_phi(family, order, args))
-    except BudgetExceeded as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    report = {
-        "version": __version__,
-        "p": None,
-        "polynomials": {"f": None, "g": None, "h": None},
-        "n": family[0].n,
-        "conditions": {},
-        "measures": [m.to_json() for m in measures],
-        "bounds": [b.to_json() for b in bound_reports],
-        "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return EXIT_OK
+    if args.theorem3:
+        if len(family) != 3:
+            raise CliError("--theorem3 needs exactly three files")
+        if len({s.values for s in family}) != 3:
+            raise CliError("--theorem3 needs pairwise distinct "
+                           "sequences", EXIT_CONDITION)
+        measures = [_phi(family, k, args)
+                    for k in range(order, 2 * order + 1)]
+        combined = construct_combined(*family)
+        cres = correlation(combined, order, budget=args.budget)
+        bnd = bound_theorem3(order, {m.order: m.value for m in measures})
+        measures.append(cres)
+        bound_reports.append(BoundReport(
+            f"C{order}_combined", {"order": order}, float(bnd),
+            measured=cres.value,
+            guaranteed=all(m.method == "exact" for m in measures)))
+    else:
+        measures = [_phi(family, order, args)]
+    return _report(args, t0, family[0].n, measures, bound_reports)
 
 
 def _phi(family, order, args):
@@ -393,7 +344,7 @@ def cmd_bounds(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="legseq",
         description="Legendre-symbol binary sequences: generation, "
                     "validity checks, exact pseudorandomness measures "
@@ -402,14 +353,21 @@ def build_parser():
                     version=f"legseq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_poly_args(sp):
-        sp.add_argument("--p", type=int, required=True, help="odd prime")
+    def add_poly_args(sp, required=True):
+        sp.add_argument("--p", type=int, required=required, help="odd prime")
         sp.add_argument("--f", help="polynomial text, e.g. 'x^2+3x+1'")
         sp.add_argument("--g")
         sp.add_argument("--h")
         sp.add_argument("--theorem2", nargs=3, metavar=("A=..", "B=..", "C=.."),
                         help="build the even squarefree triple from "
                              "quadratic non-residue sets")
+
+    def add_engine_args(sp):
+        sp.add_argument("--method", choices=("exact", "sampled"),
+                        default="exact")
+        sp.add_argument("--samples", type=int, default=1000)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("gen", help="generate a sequence file")
     add_poly_args(sp)
@@ -427,18 +385,10 @@ def build_parser():
 
     sp = sub.add_parser("measure", help="compute W and C_l with witnesses")
     sp.add_argument("--in", dest="infile", help="sequence file to measure")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--f")
-    sp.add_argument("--g")
-    sp.add_argument("--h")
-    sp.add_argument("--theorem2", nargs=3)
+    add_poly_args(sp, required=False)
     sp.add_argument("--orders", default="2",
                     help="comma-separated correlation orders")
-    sp.add_argument("--method", choices=("exact", "sampled"),
-                    default="exact")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    add_engine_args(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="use the brute-force definitional engines "
                          "(small N only)")
@@ -454,9 +404,6 @@ def build_parser():
                     required=True)
     sp.add_argument("--format", choices=("text", "csv", "json"),
                     default="text")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored; every engine runs in "
-                         "one thread")
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("combine", help="interleave F and G under switch H")
@@ -469,11 +416,7 @@ def build_parser():
                         help="family cross-correlation measure")
     sp.add_argument("files", nargs="+", metavar="FILE")
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--method", choices=("exact", "sampled"),
-                    default="exact")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    add_engine_args(sp)
     sp.add_argument("--theorem3", action="store_true",
                     help="also measure the combined sequence and the "
                          "combiner bound (first three files)")
@@ -490,13 +433,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        error, code = exc, exc.code
+    except BudgetExceeded as exc:
+        error, code = exc, EXIT_BUDGET
+    except (ValueError, OSError) as exc:
+        error, code = exc, EXIT_INPUT
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

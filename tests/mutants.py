@@ -36,9 +36,11 @@ class Mutant(NamedTuple):
 M = "src/legseq/measures.py"
 C = "src/legseq/conditions.py"
 F = "src/legseq/ff.py"
+CL = "src/legseq/cli.py"
 TM = "tests/test_measures.py"
 TC = "tests/test_conditions.py"
 TF = "tests/test_ff.py"
+TCL = "tests/test_cli.py"
 
 MUTANTS = [
     # tie-breaks: the smallest witness, not the first one found
@@ -90,6 +92,15 @@ MUTANTS = [
     Mutant("root split keeps one half", F,
            "stack += [h, g // h]", "stack += [h]",
            (f"{TF}::test_roots_match_exhaustive_evaluation",)),
+    # the CLI's one exception-to-exit-code mapping
+    Mutant("BudgetExceeded mapped to exit 1", CL,
+           "error, code = exc, EXIT_BUDGET", "error, code = exc, EXIT_INPUT",
+           (f"{TCL}::test_measure_budget_exit_3",
+            f"{TCL}::test_crosscorr_sampled_rare_admissible_tuples_exits_3")),
+    Mutant("OSError not caught", CL,
+           "except (ValueError, OSError) as exc:", "except ValueError as exc:",
+           (f"{TCL}::test_input_errors_exit_1",
+            f"{TCL}::test_main_fuzz_ends_in_an_exit_code")),
 ]
 
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import legseq.cli as cli
 import legseq.tables as tables
@@ -437,3 +439,149 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- input errors and the exit-code contract -------------------------------
+
+
+def exit_code(argv):
+    """main(argv)'s exit code; argparse ends with SystemExit instead."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+T2 = ("--theorem2", "A=2", "B=5", "C=6")
+
+
+@pytest.mark.parametrize("argv", [
+    # --out into a directory that does not exist
+    ("gen", "--p", "7", "--f", "x", "--out", "{missing}"),
+    ("measure", "--p", "7", "--f", "x", "--out", "{missing}"),
+    ("combine", "{a}", "{b}", "{a}", "--out", "{missing}"),
+    ("crosscorr", "{a}", "{b}", "--out", "{missing}"),
+    # bounds outside the domain of their formulas
+    ("bounds", "--p", "1", "--k", "2"),
+    ("bounds", "--p", "7", "--k", "0"),
+    ("bounds", "--p", "7", "--k", "2", "--order", "1"),
+    # an argparse usage error
+    ("measure", "--p", "7", "--f", "x", "--method", "bogus"),
+    # two input sources at once
+    ("gen", "--p", "13", "--f", "x", *T2),
+    ("check", "--p", "13", "--h", "x", *T2),
+    ("measure", "--p", "13", "--f", "x", *T2),
+    ("measure", "--in", "{a}", "--p", "7"),
+    ("measure", "--in", "{a}", "--f", "x"),
+    ("measure", "--in", "{a}", *T2),
+])
+def test_input_errors_exit_1(argv, tmp_path, capsys):
+    names = {"a": write_seq(tmp_path, "a.txt", (1, -1, 1, 1, -1, -1, 1)),
+             "b": write_seq(tmp_path, "b.txt", (1, 1, -1, 1, -1, 1, -1)),
+             "missing": str(tmp_path / "missing" / "out.txt")}
+    code = exit_code(arg.format(**names) for arg in argv)
+    out = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out.err
+    assert out.err.count("error:") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+FUZZ_P = st.one_of(st.sampled_from((7, 11, 13, 43, 61, 97)),
+                   st.integers(-3, 99)).map(str)
+FUZZ_POLYS = st.one_of(
+    st.sampled_from(("x", "x^2+1", "x^2+3x+1", "x^3-1", "x^3-x^2", "3", "")),
+    st.text("x^+-0123456789", max_size=6))
+FUZZ_SETS = st.one_of(
+    st.sampled_from((("A=2", "B=5", "C=6"), ("A=3", "B=5", "C=12"))),
+    st.lists(st.sampled_from(("A=2", "B=5", "C=6", "A=4", "B=2,5", "C=x",
+                              "D=1", "A=")), min_size=3, max_size=3))
+FUZZ_FILES = st.sampled_from(("a.txt", "b.txt", "c.txt", "one.txt",
+                              "bad.txt", "missing.txt"))
+SMALL = st.integers(-1, 3).map(str)
+
+
+@st.composite
+def cli_argv(draw):
+    """One argv for any subcommand: small p, orders <= 3, bad values."""
+    def opt(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    def files(least, most):
+        return draw(st.lists(FUZZ_FILES, min_size=least, max_size=most))
+
+    def inputs():
+        source = draw(st.sampled_from(("f", "fgh", "theorem2", "any")))
+        if source == "f":
+            return ["--p", draw(FUZZ_P), "--f", draw(FUZZ_POLYS)]
+        if source == "fgh":
+            return ["--p", draw(FUZZ_P), *(x for name in "fgh" for x in (
+                f"--{name}", draw(FUZZ_POLYS)))]
+        if source == "theorem2":
+            return ["--p", draw(FUZZ_P), "--theorem2", *draw(FUZZ_SETS)]
+        return [*opt("--p", FUZZ_P), *opt("--f", FUZZ_POLYS),
+                *opt("--g", FUZZ_POLYS), *opt("--h", FUZZ_POLYS),
+                *(["--theorem2", *draw(FUZZ_SETS)] if draw(st.booleans())
+                  else [])]
+
+    engine = (opt("--method", st.sampled_from(("exact", "sampled", "x")))
+              + opt("--samples", st.integers(-1, 30).map(str))
+              + opt("--seed", st.integers(-2, 2**64).map(str))
+              + opt("--budget", st.integers(-1, 10**6).map(str)))
+    out = opt("--out", st.sampled_from(("-", "out.txt", "missing/out.txt")))
+    cmd = draw(st.sampled_from(("gen", "check", "measure", "table", "combine",
+                                "crosscorr", "bounds")))
+    if cmd == "gen":
+        return [cmd, *inputs(), *flag("--truncate-half"),
+                *flag("--skip-checks"), *out]
+    if cmd == "check":
+        return [cmd, *inputs(), *flag("--symmetric")]
+    if cmd == "measure":
+        if draw(st.booleans()):
+            source = inputs()
+        else:  # a file, sometimes with flags that clash with it
+            source = ["--in", *files(1, 1)]
+            if draw(st.booleans()):
+                source += inputs()
+        orders = st.sampled_from(("1", "2", "3", "2,3", "0", "-1", "a", ","))
+        return [cmd, *source, *opt("--orders", orders), *engine,
+                *flag("--oracle"), *opt("--threads", SMALL), *out]
+    if cmd == "table":
+        example = draw(st.sampled_from(("1", "2", "3", "4", "all", "5")))
+        return [cmd, "--example", example, *opt("--format", st.sampled_from(
+            ("text", "csv", "json", "xml")))]
+    if cmd == "combine":
+        return [cmd, *files(3, 4), *flag("--check-distinct"), *out]
+    if cmd == "crosscorr":
+        return [cmd, *files(1, 4), *opt("--order", SMALL), *engine,
+                *flag("--theorem3"), *out]
+    return [cmd, "--p", draw(FUZZ_P), "--k", draw(SMALL),
+            *opt("--order", SMALL),
+            *opt("--format", st.sampled_from(("text", "json", "csv")))]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_main_fuzz_ends_in_an_exit_code(argv, tmp_path, monkeypatch, capsys):
+    # four examples at p = 11 and 13, with example 1's rows right
+    specs = {ex: TableSpec(ex, s.f, s.g, s.h, {11: (0,) * 8, 13: (0,) * 8})
+             for ex, s in EXAMPLES.items()}
+    specs[1] = TableSpec(1, specs[1].f, specs[1].g, specs[1].h,
+                         {p: tables.compute_row(1, p) for p in (11, 13)})
+    for module in (tables, cli):
+        monkeypatch.setattr(module, "EXAMPLES", specs)
+        monkeypatch.setattr(module, "PRIMES", (11, 13))
+    monkeypatch.chdir(tmp_path)
+    for name, values in (("a.txt", (1, -1, 1, 1, -1, -1)),
+                         ("b.txt", (1, 1, -1, 1, -1, 1)),
+                         ("c.txt", (-1, 1, 1, -1, 1, -1)),
+                         ("one.txt", (1,))):
+        write_seq(tmp_path, name, values)
+    (tmp_path / "bad.txt").write_text("not a sequence\n")
+    code = exit_code(argv)
+    capsys.readouterr()
+    assert code in range(5), (argv, code)
