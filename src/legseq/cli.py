@@ -323,7 +323,7 @@ def _phi(family, order, args):
 
 
 def cmd_bounds(args):
-    p = args.p
+    p = PrimeModulus(args.p).p
     k = args.k
     order = args.order
     entries = [
@@ -424,7 +424,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_crosscorr)
 
     sp = sub.add_parser("bounds", help="print theoretical bound values")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--format", choices=("text", "json"), default="text")

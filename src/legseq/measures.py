@@ -21,6 +21,11 @@ tuples) batches of at most CELLS // N rows, streamed in lexicographic
 order or drawn first by the seeded sampler, and takes every row's range
 from one int32 cumsum over int8 shifted views of the members.
 
+At exact order 2, `_lag_bounds` first bounds every lag's walk range from
+popcounts of packed sign bits (Packebusch and Mertens, J. Phys. A 49,
+2016), and the engine scores only the lags whose upper bound reaches the
+best lower bound; ties are kept, so every achieving lag is scored.
+
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for small sequences and are used only by tests.
 """
@@ -183,15 +188,77 @@ def _witness(views, value, idxs, rel):
     return tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M
 
 
+def _lag_bounds(views, pairs):
+    """lb[p, d] <= walk range <= ub[p, d] of x_n * y_{n+d} for every lag
+    d, where (x, y) are the members pairs[p].  A product of +-1 entries is
+    an XOR of sign bits, so a block of w <= 64 products sums to
+    S = w - 2 * popcount(x ^ y).  The walk passes through every block-end
+    prefix Q, and inside block k stays within (Q_k + Q_{k+1} +- w) / 2.
+    Lags go in chunks of at most CELLS words."""
+    N = views.shape[2]
+    nw = -(-N // 64)
+    bits = np.zeros((len(views), 64 * (2 * nw + 1)), dtype=np.uint8)
+    bits[:, :N] = views[:, 0] < 0
+    # words[i, s, q]: member i's sign bits from entry 64q + s on, and
+    # widths[s, q, k]: entries of block k inside the overlap at lag 64q + s
+    words = sliding_window_view(np.packbits(
+        sliding_window_view(bits, 128 * nw, axis=1)[:, :64], axis=2,
+        bitorder="little").view("<u8"), nw, axis=2)
+    widths = sliding_window_view(np.clip(
+        N - np.arange(64)[:, None] - 64 * np.arange(2 * nw), 0, 64
+    ).astype(np.uint8), nw, axis=1)
+    I, J = np.array(pairs).T
+    lb, ub = np.empty((2, len(pairs), N), dtype=np.int32)
+    d0 = 0
+    while d0 < N:
+        nk = -(-(N - d0) // 64)  # blocks of the chunk's longest overlap
+        d = np.arange(d0, min(N, d0 + max(1, CELLS // (nk * len(pairs)))))
+        d0 += len(d)
+        q, s = np.divmod(d, 64)
+        w = widths[s, q, :nk]
+        x = words[J[:, None], s, q, :nk]
+        x ^= words[I, 0, 0, :nk][:, None]
+        x <<= 64 - w  # masks off the bits past the overlap
+        pc = np.bitwise_count(x).astype(np.int16)
+        del x  # frees the words before the walk arrays are made
+        Q = (w - 2 * pc).cumsum(axis=2, dtype=np.int32)
+        lb[:, d] = np.maximum(Q.max(axis=2), 0) - np.minimum(Q.min(axis=2), 0)
+        Q += pc  # the top of block k, (Q_k + Q_{k+1} + w) / 2
+        hi = np.maximum(Q.max(axis=2), 0)
+        Q -= w  # and its bottom, (Q_k + Q_{k+1} - w) / 2
+        ub[:, d] = hi - np.minimum(Q.min(axis=2), 0)
+    return lb, ub
+
+
+def _order2_rels(views, eq):
+    """Each member pair with its admissible lags (0, d) whose upper bound
+    reaches the best lower bound so far, pairs going in groups of at most
+    max(1, CELLS // N).  That best never exceeds the value and ties are
+    kept, so every achieving lag is scored."""
+    pairs = list(product(range(len(eq)), repeat=2))
+    best, step = -1, max(1, CELLS // views.shape[2])
+    for group in (pairs[g:g + step] for g in range(0, len(pairs), step)):
+        lb, ub = _lag_bounds(views, group)
+        equal = [p for p, (i, j) in enumerate(group) if eq[i][j]]
+        lb[equal, 0] = ub[equal, 0] = -1
+        best = max(best, lb.max())
+        for p, idxs in enumerate(group):
+            keep = np.flatnonzero(ub[p] >= best).tolist()
+            yield idxs, [(0, d) for d in keep]
+
+
 def _exact(views, eq, order):
     """Value and lexicographically smallest witness over every member
-    tuple and every admissible nondecreasing lag tuple."""
+    tuple and every admissible nondecreasing lag tuple; at order 2 over
+    the lags that `_order2_rels` keeps."""
     lags = range(views.shape[2])
+    rels = _order2_rels(views, eq) if order == 2 else (
+        (idxs, ((0,) + r for r in combinations_with_replacement(
+            lags, order - 1)))
+        for idxs in product(range(len(eq)), repeat=order))
     value, achieving = _score(views, (
-        batch for idxs in product(range(len(eq)), repeat=order)
-        for batch in _batches(views, idxs, (
-            (0,) + r for r in combinations_with_replacement(lags, order - 1)),
-            _equal_pairs(eq, idxs))))
+        batch for idxs, rel in rels
+        for batch in _batches(views, idxs, rel, _equal_pairs(eq, idxs))))
     return value, min(_witness(views, value, *a) for a in achieving)
 
 
@@ -299,7 +366,8 @@ def correlation(E: BinarySequence, order: int,
     The sum over n = 1..M with lags D is a window sum of the product
     sequence with relative lags d_i - d_1, so the walk range of each lag
     tuple is exact; the engine scores them in batches of at most
-    CELLS // N.  The witness (D, M) is the lexicographically smallest.
+    CELLS // N, at order 2 only the lags that `_lag_bounds` cannot rule
+    out.  The witness (D, M) is the lexicographically smallest.
     Refuses when (number of lag tuples) * N exceeds the work budget.
     threads is accepted and ignored.
     """
@@ -405,8 +473,9 @@ def cross_correlation(family, order: int,
     """Exact Phi_l of a family: max |V_l| over all l-tuples of members
     (with repetition) and nondecreasing lag tuples, excluding choices
     where two equal sequences share a lag.  The engine streams each
-    member tuple's lag tuples in batches of at most CELLS // N.  The
-    witness (member indices 1-based, D, M) is lexicographically smallest.
+    member tuple's lag tuples in batches of at most CELLS // N, at order
+    2 only those that `_lag_bounds` cannot rule out.  The witness
+    (member indices 1-based, D, M) is lexicographically smallest.
     """
     t0 = time.perf_counter()
     family = list(family)

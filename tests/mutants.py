@@ -65,6 +65,20 @@ MUTANTS = [
            (f"{TM}::test_engine_matches_per_tuple_loop_cross",
             f"{TM}::test_phi_witness_matches_brute_force",
             f"{TM}::test_corr_matches_oracle")),
+    # the order-2 block filter
+    Mutant("order-2 filter drops lags whose bound ties the best", M,
+           "ub[p] >= best", "ub[p] > best",
+           (f"{TM}::test_c2_all_ones", f"{TM}::test_c2_alternating")),
+    Mutant("width term dropped from the block upper bound", M,
+           "Q -= w  #", "Q -= 0  #",
+           (f"{TM}::test_block_bounds_enclose_every_walk_range",)),
+    Mutant("best lower bound taken before lag 0 of equal members is dropped",
+           M, "lb[equal, 0] = ub[equal, 0] = -1\n"
+           "        best = max(best, lb.max())",
+           "ub[equal, 0] = -1\n        best = max(best, lb.max())\n"
+           "        lb[equal, 0] = -1",
+           (f"{TM}::test_corr_matches_oracle",
+            f"{TM}::test_block_filter_matches_unfiltered_stream")),
     # exact W pruning and the witness finder
     Mutant("W pruned by floor(N/b)", M,
            "if -(-N // b) <= value:", "if N // b <= value:",

@@ -465,6 +465,9 @@ T2 = ("--theorem2", "A=2", "B=5", "C=6")
     ("bounds", "--p", "1", "--k", "2"),
     ("bounds", "--p", "7", "--k", "0"),
     ("bounds", "--p", "7", "--k", "2", "--order", "1"),
+    # a modulus that is not an odd prime
+    ("bounds", "--p", "9", "--k", "2"),
+    ("bounds", "--p", "4", "--k", "2"),
     # an argparse usage error
     ("measure", "--p", "7", "--f", "x", "--method", "bogus"),
     # two input sources at once

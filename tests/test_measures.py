@@ -631,3 +631,61 @@ def test_engine_skips_member_tuple_with_every_lag_masked():
     value, witness, _ = reference_cross([F, F, G], 2)
     assert (res.value, res.witness) == (value, witness) == (1, ((1, 3),
                                                               (0, 0), 1))
+
+
+# --- order-2 block bounds ----------------------------------------------------
+
+
+def unfiltered_exact(family, order):
+    """Exact (value, witness) of Phi_order from the engine's full lag
+    stream, as before the order-2 block filter: every member tuple and
+    every admissible lag tuple is scored."""
+    views = measures._views(family)
+    eq = [[a.values == b.values for b in family] for a in family]
+    lags = range(family[0].n)
+    value, achieving = measures._score(views, (
+        batch for idxs in product(range(len(family)), repeat=order)
+        for batch in measures._batches(views, idxs, (
+            (0,) + r for r in combinations_with_replacement(lags, order - 1)),
+            measures._equal_pairs(eq, idxs))))
+    return value, min(measures._witness(views, value, *a) for a in achieving)
+
+
+lengths = st.one_of(st.integers(1, 700),
+                    st.sampled_from([63, 64, 65, 127, 128, 129, 640]))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_block_bounds_enclose_every_walk_range(data):
+    N = data.draw(lengths)
+    x, y = (data.draw(st.lists(st.sampled_from([-1, 1]),
+                               min_size=N, max_size=N)) for _ in range(2))
+    lb, ub = measures._lag_bounds(
+        measures._views([BinarySequence(tuple(x)), BinarySequence(tuple(y))]),
+        list(product(range(2), repeat=2)))
+    for p, (a, b) in enumerate(product((x, y), repeat=2)):
+        for d in range(N):
+            r = walk_range(u * v for u, v in zip(a, b[d:]))
+            assert lb[p, d] <= r <= ub[p, d], (p, d)
+
+
+def test_block_filter_matches_unfiltered_stream():
+    # N = 2503 = 39 * 64 + 7 ends in a partial word; the family repeats E
+    E = construct_single(Poly.make((1, 1, 0, 1), 2503))
+    F = construct_single(Poly.make((2, 0, 1), 2503))
+    res = correlation(E, 2)
+    value, (_, D, M) = unfiltered_exact([E], 2)
+    assert (res.value, res.witness) == (value, (D, M))
+    res = cross_correlation([E, F, E], 2)
+    assert (res.value, res.witness) == unfiltered_exact([E, F, E], 2)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_c2_invariant_under_reversal(data):
+    N = data.draw(st.integers(3, 1000))
+    E = BinarySequence(tuple(data.draw(st.lists(
+        st.sampled_from([-1, 1]), min_size=N, max_size=N))))
+    assert correlation(E, 2).value \
+        == correlation(BinarySequence(E.values[::-1]), 2).value
