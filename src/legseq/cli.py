@@ -143,8 +143,7 @@ def cmd_gen(args):
                        "to generate anyway)", EXIT_CONDITION)
     seq = build()
     if args.truncate_half:
-        half = (p + 1) // 2
-        seq = BinarySequence(seq.values[:half], dict(seq.meta))
+        seq = BinarySequence(seq.array()[:(p + 1) // 2], dict(seq.meta))
     _emit(seq.dumps(), args.out)
     return EXIT_OK
 
@@ -281,10 +280,10 @@ def cmd_table(args):
 
 
 def cmd_combine(args):
-    F, G, H = (BinarySequence.load(path) for path in args.files)
-    if args.check_distinct and len({F.values, G.values, H.values}) != 3:
+    seqs = [BinarySequence.load(path) for path in args.files]
+    if args.check_distinct and len({s.array().tobytes() for s in seqs}) != 3:
         raise CliError("sequences must be pairwise distinct", EXIT_CONDITION)
-    seq = construct_combined(F, G, H)
+    seq = construct_combined(*seqs)
     _emit(seq.dumps(), args.out)
     return EXIT_OK
 
@@ -297,7 +296,7 @@ def cmd_crosscorr(args):
     if args.theorem3:
         if len(family) != 3:
             raise CliError("--theorem3 needs exactly three files")
-        if len({s.values for s in family}) != 3:
+        if len({s.array().tobytes() for s in family}) != 3:
             raise CliError("--theorem3 needs pairwise distinct "
                            "sequences", EXIT_CONDITION)
         measures = [_phi(family, k, args)

@@ -5,78 +5,93 @@ filtered sequence (the switching polynomial h selects between f and g),
 and a generic combiner that interleaves two arbitrary sequences under a
 third.  Sequences take values in {-1, +1}; indices are 1-based on every
 external surface.
+
+A sequence is one read-only int8 array, built by chunked int64 Horner
+and an int8 Legendre table; p above MAX_LENGTH raises BudgetExceeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ff import Poly, QnrSet, legendre, legendre_table
 
+# longest sequence built: legendre_table's list takes 8 bytes a residue
+# (1 GiB at the cap), and int64 Horner is exact only while p^2 < 2^63
+MAX_LENGTH = 2**27
 
-@dataclass(frozen=True)
+
+class BudgetExceeded(RuntimeError):
+    """A sequence longer than MAX_LENGTH, or exact work beyond the budget
+    (use the sampled estimator instead); the CLI exits 3."""
+
+
 class BinarySequence:
-    """A +-1 sequence of length N >= 1 with provenance metadata."""
+    """A +-1 sequence of length N >= 1 with provenance metadata.
 
-    values: tuple
-    meta: dict = field(default_factory=dict, compare=False)
+    values (any sequence or array of -1 and +1) is copied into one int8
+    array, which `array()` returns read-only.  seq[i] is a Python int and
+    `.values` a tuple built from the array on first use.  Constructions
+    longer than MAX_LENGTH raise BudgetExceeded (exit 3).
+    """
 
-    def __post_init__(self):
-        if len(self.values) < 1:
+    def __init__(self, values, meta=None):
+        a = np.asarray(values)
+        if a.size < 1:
             raise ValueError("empty sequence")
-        if any(v not in (-1, 1) for v in self.values):
+        if a.ndim != 1 or not ((a == 1) | (a == -1)).all():
             raise ValueError("sequence entries must be -1 or +1")
+        self._a = a.astype(np.int8)
+        self._a.flags.writeable = False
+        self.meta = {} if meta is None else meta
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self._a)
 
     def __len__(self):
-        return len(self.values)
+        return len(self._a)
 
-    def __getitem__(self, i):
-        return self.values[i]
+    def __getitem__(self, i) -> int:
+        return self._a.item(i)
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.int64)
+        return self._a
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(self._a.tolist())
 
     def __neg__(self) -> "BinarySequence":
-        return BinarySequence(tuple(-v for v in self.values))
-
-    def body(self) -> str:
-        return "".join("+" if v == 1 else "-" for v in self.values)
-
-    def header(self) -> str:
-        p = self.meta.get("p")
-        if p is None:
-            return f"#LEGSEQ v1 n={self.n}"
-        return f"#LEGSEQ v1 p={p} n={self.n}"
+        return BinarySequence(-self._a)
 
     def dumps(self) -> str:
-        return self.header() + "\n" + self.body() + "\n"
+        p = self.meta.get("p")
+        head = "#LEGSEQ v1" if p is None else f"#LEGSEQ v1 p={p}"
+        body = np.where(self._a > 0, np.uint8(ord("+")), np.uint8(ord("-")))
+        return f"{head} n={self.n}\n{body.tobytes().decode('ascii')}\n"
 
     @staticmethod
     def loads(text: str) -> "BinarySequence":
         lines = text.splitlines()
         if len(lines) < 2 or not lines[0].startswith("#LEGSEQ v1"):
             raise ValueError("not a LEGSEQ v1 file")
-        fields = {}
-        for tok in lines[0].split()[2:]:
-            key, _, val = tok.partition("=")
-            fields[key] = int(val)
+        fields = {key: int(val) for key, _, val in
+                  (tok.partition("=") for tok in lines[0].split()[2:])}
         if "n" not in fields:
             raise ValueError("missing n= in header")
-        body = lines[1]
-        if len(body) != fields["n"]:
+        if len(lines[1]) != fields["n"]:
             raise ValueError("body length does not match header")
-        if set(body) - {"+", "-"}:
+        # a non-ASCII character becomes '?', which is rejected below
+        body = np.frombuffer(lines[1].encode("ascii", "replace"), np.uint8)
+        plus = body == ord("+")
+        if not (plus | (body == ord("-"))).all():
             raise ValueError("sequence body must use only '+' and '-'")
         meta = {"p": fields["p"]} if "p" in fields else {}
-        return BinarySequence(
-            tuple(1 if ch == "+" else -1 for ch in body), meta
-        )
+        return BinarySequence(np.where(plus, np.int8(1), np.int8(-1)), meta)
 
     @staticmethod
     def load(path) -> "BinarySequence":
@@ -112,19 +127,32 @@ class PolyTriple:
         return max(self.f.degree, self.g.degree, self.h.degree)
 
 
+def _symbols(*polys: Poly) -> list:
+    """int8 (q(n)/p) for n = 1..p, 0 where p | q(n), per polynomial q: int64
+    Horner on 2^16 values of n at a time, then one Legendre table lookup.
+    Raises BudgetExceeded when p > MAX_LENGTH, before any allocation."""
+    p = polys[0].p
+    if p > MAX_LENGTH:
+        raise BudgetExceeded(f"length p = {p} exceeds the cap {MAX_LENGTH}")
+    table = np.array(legendre_table(p), dtype=np.int8)
+    out = [np.empty(p, dtype=np.int8) for _ in polys]
+    for lo in range(0, p, 2**16):
+        n = np.arange(lo + 1, min(lo + 2**16, p) + 1, dtype=np.int64)
+        for q, e in zip(polys, out):
+            acc = 0
+            for c in reversed(q.coeffs):
+                acc = (acc * n + c) % p
+            e[lo:lo + len(n)] = table[acc]
+    return out
+
+
 def construct_single(f: Poly) -> BinarySequence:
     """Length-p sequence e_n = (f(n)/p) for n = 1..p, with +1 when p | f(n)."""
     if f.degree < 1:
         raise ValueError("constant polynomial")
-    p = f.p
-    table = legendre_table(p)
-    vals = []
-    for n in range(1, p + 1):
-        s = table[f(n)]
-        vals.append(s if s else 1)
-    return BinarySequence(
-        tuple(vals), {"p": p, "construction": 1, "f": str(f)}
-    )
+    (e,) = _symbols(f)
+    return BinarySequence(np.where(e == 0, 1, e),
+                          {"p": f.p, "construction": 1, "f": str(f)})
 
 
 def construct_triple(t: PolyTriple) -> BinarySequence:
@@ -133,22 +161,11 @@ def construct_triple(t: PolyTriple) -> BinarySequence:
     Branch precedence: the p | f(n)g(n) case wins; otherwise the symbol
     of h(n) selects f (when in {0, +1}) or g (when -1).
     """
-    p = t.p
-    table = legendre_table(p)
-    vals = []
-    for n in range(1, p + 1):
-        fv, gv = t.f(n), t.g(n)
-        if fv == 0 or gv == 0:
-            vals.append(1)
-        elif table[t.h(n)] >= 0:
-            vals.append(table[fv])
-        else:
-            vals.append(table[gv])
+    F, G, H = _symbols(t.f, t.g, t.h)
     return BinarySequence(
-        tuple(vals),
-        {"p": p, "construction": 2, "f": str(t.f), "g": str(t.g),
-         "h": str(t.h)},
-    )
+        np.where((F == 0) | (G == 0), 1, np.where(H >= 0, F, G)),
+        {"p": t.p, "construction": 2, "f": str(t.f), "g": str(t.g),
+         "h": str(t.h)})
 
 
 def closed_form_element(t: PolyTriple, n: int) -> int:
@@ -172,10 +189,8 @@ def construct_combined(F: BinarySequence, G: BinarySequence,
     else g_n."""
     if not (F.n == G.n == H.n):
         raise ValueError("length mismatch")
-    vals = tuple(
-        f if h == 1 else g for f, g, h in zip(F.values, G.values, H.values)
-    )
-    return BinarySequence(vals, {"construction": 3})
+    return BinarySequence(np.where(H.array() > 0, F.array(), G.array()),
+                          {"construction": 3})
 
 
 def build_theorem2_polys(A: QnrSet, B: QnrSet, C: QnrSet) -> PolyTriple:

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constructions import BinarySequence
+from .constructions import BinarySequence, BudgetExceeded
 
 DEFAULT_BUDGET = 2**34
 DEFAULT_SEED = 0x1E65_5EED
@@ -56,11 +56,6 @@ MAX_REDRAWS = 2**14
 
 # the engine scores at most CELLS // N lag tuples of length-N members at once
 CELLS = 2**16
-
-
-class BudgetExceeded(RuntimeError):
-    """Exact enumeration would exceed the configured work budget; use the
-    sampled estimator instead."""
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,9 @@ def evaluate_cross_witness(family, indices: tuple, D: tuple, M: int) -> int:
         raise ValueError("lags must be nondecreasing")
     if not (M >= 1 and M + D[-1] <= N):
         raise ValueError("invalid cross-correlation witness")
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            if seqs[i].values == seqs[j].values and D[i] == D[j]:
-                raise ValueError("equal sequences must not share a lag")
+    if any(D[i] == D[j] and np.array_equal(seqs[i].array(), seqs[j].array())
+           for i, j in combinations(range(len(seqs)), 2)):
+        raise ValueError("equal sequences must not share a lag")
     s = 0
     for n in range(1, M + 1):
         prod = 1
@@ -137,8 +131,7 @@ def _views(family):
     leaves the overlap is 0, and a 0 tail only repeats the walk's last
     prefix."""
     N = family[0].n
-    pad = np.zeros((len(family), 2 * N), dtype=np.int8)
-    pad[:, :N] = [s.values for s in family]
+    pad = np.pad([s.array() for s in family], ((0, 0), (0, N)))
     return sliding_window_view(pad, N, axis=1)
 
 
@@ -318,8 +311,7 @@ def well_distribution(E: BinarySequence, threads: int = 1) -> MeasureResult:
     t0 = time.perf_counter()
     N = E.n
     # zero padding repeats each class's last prefix, so max - min is exact
-    pad = np.zeros(2 * N, dtype=np.int64)
-    pad[:N] = E.array()
+    pad = np.pad(E.array().astype(np.int64), (0, N))
 
     def class_prefixes(b):
         m = -(-N // b)
@@ -447,12 +439,11 @@ def _check_family(family, order: int):
     N = family[0].n
     if any(s.n != N for s in family):
         raise ValueError("family members must share one length")
-    m = len(family)
-    eq = [[family[i].values == family[j].values for j in range(m)]
-          for i in range(m)]
+    eq = [[np.array_equal(a.array(), b.array()) for b in family]
+          for a in family]
     # equal sequences must not share a lag, so each distinct member
     # offers N (member, lag) pairs to a tuple
-    distinct = sum(not any(eq[i][:i]) for i in range(m))
+    distinct = sum(not any(row[:i]) for i, row in enumerate(eq))
     if order > distinct * N:
         raise ValueError(
             f"no admissible Phi_{order} tuple: order exceeds {distinct} "

@@ -84,12 +84,7 @@ def example_triple(example: int, p: int) -> PolyTriple:
 def compute_row(example: int, p: int) -> tuple:
     """Regenerate one table row: the 8 measures in COLUMNS order."""
     t = example_triple(example, p)
-    seqs = [
-        construct_single(t.f),
-        construct_single(t.g),
-        construct_single(t.h),
-        construct_triple(t),
-    ]
+    seqs = [*map(construct_single, (t.f, t.g, t.h)), construct_triple(t)]
     ws = [well_distribution(s).value for s in seqs]
     cs = [correlation(s, 2).value for s in seqs]
     return tuple(ws + cs)

@@ -37,10 +37,12 @@ M = "src/legseq/measures.py"
 C = "src/legseq/conditions.py"
 F = "src/legseq/ff.py"
 CL = "src/legseq/cli.py"
+CO = "src/legseq/constructions.py"
 TM = "tests/test_measures.py"
 TC = "tests/test_conditions.py"
 TF = "tests/test_ff.py"
 TCL = "tests/test_cli.py"
+TCO = "tests/test_constructions.py"
 
 MUTANTS = [
     # tie-breaks: the smallest witness, not the first one found
@@ -106,6 +108,28 @@ MUTANTS = [
     Mutant("root split keeps one half", F,
            "stack += [h, g // h]", "stack += [h]",
            (f"{TF}::test_roots_match_exhaustive_evaluation",)),
+    # the vectorized constructions and the file format
+    Mutant("zero symbol mapped to -1 in the single sequence", CO,
+           "np.where(e == 0, 1, e)", "np.where(e == 0, -1, e)",
+           (f"{TCO}::test_single_zero_rule",
+            f"{TCO}::test_constructions_match_per_n_loop")),
+    Mutant("p | f(n)g(n) checked on the selected branch only", CO,
+           "(F == 0) | (G == 0)", "np.where(H >= 0, F, G) == 0",
+           (f"{TCO}::test_triple_branch_precedence",
+            f"{TCO}::test_constructions_match_per_n_loop")),
+    Mutant("h(n) = 0 selects g", CO,
+           "np.where(H >= 0, F, G)", "np.where(H > 0, F, G)",
+           (f"{TCO}::test_triple_p7_example",
+            f"{TCO}::test_constructions_match_per_n_loop")),
+    Mutant("'+' read as -1", CO,
+           "np.where(plus, np.int8(1), np.int8(-1))",
+           "np.where(plus, np.int8(-1), np.int8(1))",
+           (f"{TCO}::test_file_format_round_trip",
+            f"{TCO}::test_loads_dumps_identity")),
+    Mutant("Horner step adds before multiplying", CO,
+           "acc = (acc * n + c) % p", "acc = (acc + c) * n % p",
+           (f"{TCO}::test_single_p7_linear",
+            f"{TCO}::test_constructions_match_per_n_loop_above_2_32")),
     # the CLI's one exception-to-exit-code mapping
     Mutant("BudgetExceeded mapped to exit 1", CL,
            "error, code = exc, EXIT_BUDGET", "error, code = exc, EXIT_INPUT",

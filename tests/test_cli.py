@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import legseq.cli as cli
+import legseq.constructions as constructions
 import legseq.tables as tables
 from legseq.cli import main
 from legseq.constructions import BinarySequence
@@ -242,6 +243,22 @@ def test_measure_budget_exit_3(capsys):
                        "--orders", "4", "--budget", "1000")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [("gen", "--skip-checks"), ("measure",)])
+def test_length_above_cap_exits_3_before_allocating(monkeypatch, capsys,
+                                                   argv):
+    # p = 2^61 - 1 is a prime the checks accept; its Legendre table would
+    # need 2^64 bytes, so the cap must refuse it before building anything
+    def no_table(p):
+        raise AssertionError(f"legendre_table({p}) called above the cap")
+
+    monkeypatch.setattr(constructions, "legendre_table", no_table)
+    code, out, err = run(capsys, argv[0], "--p", "2305843009213693951",
+                         "--f", "x^2+1", *argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(constructions.MAX_LENGTH) in err
 
 
 def test_measure_triple_reports_conditions(capsys):

@@ -9,7 +9,9 @@ from legseq.constructions import (BinarySequence, PolyTriple,
                                   build_theorem2_polys, closed_form_element,
                                   construct_combined, construct_single,
                                   construct_triple)
-from legseq.ff import Poly, QnrSet, legendre, parse_poly
+from legseq.ff import Poly, QnrSet, is_prime, legendre, parse_poly
+
+SMALL_PRIMES = [p for p in range(3, 3000) if is_prime(p)]
 
 
 def triple(f, g, h, p):
@@ -78,6 +80,66 @@ def test_f_equals_h_with_qnr_multiple_gives_all_ones():
         g = h.scale(n)
         seq = construct_triple(PolyTriple(h, g, h))
         assert set(seq.values) == {1}
+
+
+# --- differential tests against the per-n loop ------------------------------
+
+
+def reference_single(f, n):
+    """e_n by the per-n loop the vectorized construction replaced."""
+    return legendre(f(n), f.p) or 1
+
+
+def reference_triple(t, n):
+    """The triple's e_n by the per-n loop: p | f(n)g(n) wins, then h(n)
+    selects f (symbol 0 or +1) or g (symbol -1)."""
+    p = t.p
+    fv, gv = t.f(n), t.g(n)
+    if fv == 0 or gv == 0:
+        return 1
+    return legendre(fv, p) if legendre(t.h(n), p) >= 0 else legendre(gv, p)
+
+
+def random_poly(draw_int, p, degree):
+    return Poly.make([draw_int(0, p - 1) for _ in range(degree)]
+                     + [draw_int(1, p - 1)], p)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_constructions_match_per_n_loop(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+
+    def draw_int(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    f, g, h = (random_poly(draw_int, p, data.draw(st.integers(1, 6)))
+               for _ in range(3))
+    t = PolyTriple(f, g, h)
+    ns = range(1, p + 1)
+    single = construct_single(f)
+    trip = construct_triple(t)
+    assert single.values == tuple(reference_single(f, n) for n in ns)
+    assert trip.values == tuple(reference_triple(t, n) for n in ns)
+    H = construct_single(h)
+    assert construct_combined(single, trip, H).values == tuple(
+        a if s == 1 else b
+        for a, b, s in zip(single.values, trip.values, H.values))
+
+
+def test_constructions_match_per_n_loop_above_2_32():
+    # at p = 1000003 the Horner products acc * n reach about 10^12
+    p = 1000003
+    rng = np.random.default_rng(20261020)
+
+    def draw_int(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    t = PolyTriple(*(random_poly(draw_int, p, d) for d in (3, 4, 2)))
+    single, trip = construct_single(t.f), construct_triple(t)
+    for n in rng.integers(1, p + 1, 2000).tolist():
+        assert single[n - 1] == reference_single(t.f, n)
+        assert trip[n - 1] == reference_triple(t, n)
 
 
 def test_closed_form_examples():
@@ -200,3 +262,45 @@ def test_file_format_rejections():
 def test_loads_dumps_identity(vals):
     seq = BinarySequence(tuple(vals))
     assert BinarySequence.loads(seq.dumps()).values == seq.values
+
+
+def test_array_is_read_only_int8():
+    seq = construct_single(Poly.x(7))
+    a = seq.array()
+    assert a.dtype == np.int8 and a is seq.array()
+    with pytest.raises(ValueError):
+        a[0] = -1
+    assert seq.values == (1, 1, -1, 1, -1, -1, 1)
+
+
+def test_getitem_returns_python_int():
+    seq = BinarySequence([1] * 200)
+    assert all(type(seq[i]) is int for i in (0, 99, -1))
+    # a sum of np.int8 entries would wrap past 127
+    assert sum(seq[i] for i in range(200)) == 200
+
+
+@pytest.mark.parametrize("vals", [
+    (1, -1, -1), [1, -1, -1], np.array([1, -1, -1]),
+    np.array([1, -1, -1], dtype=np.int8)])
+def test_accepts_tuple_list_and_ndarray(vals):
+    seq = BinarySequence(vals)
+    assert seq.values == (1, -1, -1)
+    assert (-seq).values == (-1, 1, 1)
+    assert seq.array().tolist() == [1, -1, -1]  # negation leaves seq alone
+
+
+def test_input_is_copied_and_checked_before_narrowing():
+    src = np.array([1, 1])
+    seq = BinarySequence(src)
+    src[0] = -1
+    assert seq.values == (1, 1)
+    with pytest.raises(ValueError):
+        BinarySequence(np.array([1, 257]))  # 257 would narrow to int8 1
+    with pytest.raises(ValueError):
+        BinarySequence(np.ones((2, 2), dtype=np.int8))
+
+
+def test_loads_rejects_non_ascii_body():
+    with pytest.raises(ValueError, match="only '\\+' and '-'"):
+        BinarySequence.loads("#LEGSEQ v1 n=3\n+é+\n")
