@@ -7,7 +7,8 @@ third.  Sequences take values in {-1, +1}; indices are 1-based on every
 external surface.
 
 A sequence is one read-only int8 array, built by chunked int64 Horner
-and an int8 Legendre table; p above MAX_LENGTH raises BudgetExceeded.
+and an int8 Legendre table, then combined by sign-mask and bit selects;
+p above MAX_LENGTH raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .ff import Poly, QnrSet, legendre, legendre_table
 
-# longest sequence built: legendre_table's list takes 8 bytes a residue
-# (1 GiB at the cap), and int64 Horner is exact only while p^2 < 2^63
+# longest sequence built: the int8 Legendre table takes one byte a residue
+# (128 MiB at the cap), and int64 Horner is exact only while p^2 < 2^63
 MAX_LENGTH = 2**27
 
 
@@ -71,7 +72,7 @@ class BinarySequence:
     def dumps(self) -> str:
         p = self.meta.get("p")
         head = "#LEGSEQ v1" if p is None else f"#LEGSEQ v1 p={p}"
-        body = np.where(self._a > 0, np.uint8(ord("+")), np.uint8(ord("-")))
+        body = (np.int8(44) - self._a).view(np.uint8)  # 43 '+', 45 '-'
         return f"{head} n={self.n}\n{body.tobytes().decode('ascii')}\n"
 
     @staticmethod
@@ -91,7 +92,7 @@ class BinarySequence:
         if not (plus | (body == ord("-"))).all():
             raise ValueError("sequence body must use only '+' and '-'")
         meta = {"p": fields["p"]} if "p" in fields else {}
-        return BinarySequence(np.where(plus, np.int8(1), np.int8(-1)), meta)
+        return BinarySequence(plus.view(np.int8) * 2 - 1, meta)
 
     @staticmethod
     def load(path) -> "BinarySequence":
@@ -134,7 +135,7 @@ def _symbols(*polys: Poly) -> list:
     p = polys[0].p
     if p > MAX_LENGTH:
         raise BudgetExceeded(f"length p = {p} exceeds the cap {MAX_LENGTH}")
-    table = np.array(legendre_table(p), dtype=np.int8)
+    table = legendre_table(p)
     out = [np.empty(p, dtype=np.int8) for _ in polys]
     for lo in range(0, p, 2**16):
         n = np.arange(lo + 1, min(lo + 2**16, p) + 1, dtype=np.int64)
@@ -146,12 +147,19 @@ def _symbols(*polys: Poly) -> list:
     return out
 
 
+def _switch(h, f, g):
+    """f where h >= 0, else g, on int8 arrays: the sign mask h >> 7 is all
+    ones exactly where h < 0."""
+    m = h >> 7
+    return (f & ~m) | (g & m)
+
+
 def construct_single(f: Poly) -> BinarySequence:
     """Length-p sequence e_n = (f(n)/p) for n = 1..p, with +1 when p | f(n)."""
     if f.degree < 1:
         raise ValueError("constant polynomial")
     (e,) = _symbols(f)
-    return BinarySequence(np.where(e == 0, 1, e),
+    return BinarySequence(e | (e == 0).view(np.int8),
                           {"p": f.p, "construction": 1, "f": str(f)})
 
 
@@ -162,10 +170,10 @@ def construct_triple(t: PolyTriple) -> BinarySequence:
     of h(n) selects f (when in {0, +1}) or g (when -1).
     """
     F, G, H = _symbols(t.f, t.g, t.h)
-    return BinarySequence(
-        np.where((F == 0) | (G == 0), 1, np.where(H >= 0, F, G)),
-        {"p": t.p, "construction": 2, "f": str(t.f), "g": str(t.g),
-         "h": str(t.h)})
+    e = _switch(H, F, G)
+    e[F * G == 0] = 1
+    return BinarySequence(e, {"p": t.p, "construction": 2, "f": str(t.f),
+                              "g": str(t.g), "h": str(t.h)})
 
 
 def closed_form_element(t: PolyTriple, n: int) -> int:
@@ -189,7 +197,7 @@ def construct_combined(F: BinarySequence, G: BinarySequence,
     else g_n."""
     if not (F.n == G.n == H.n):
         raise ValueError("length mismatch")
-    return BinarySequence(np.where(H.array() > 0, F.array(), G.array()),
+    return BinarySequence(_switch(H.array(), F.array(), G.array()),
                           {"construction": 3})
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 MAX_MODULUS = 2**63  # products must fit a double-width intermediate
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,16 +107,21 @@ def legendre(a: int, p) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def legendre_table(p) -> list:
-    """Symbol table t[a] = (a/p) for a in [0, p), built from the square map.
+def legendre_table(p) -> np.ndarray:
+    """int8 symbol table t[a] = (a/p) for a in [0, p), built from the square
+    map: -1 everywhere, +1 at x^2 mod p for x = 1..(p-1)/2, then 0 at 0.
 
-    O(p) time; worth it when a full length-p sequence is generated.
+    O(p) time; worth it when a full length-p sequence is generated.  The
+    squares are taken in int64 on 2^16 values of x at a time, so the build
+    needs p bytes plus a fixed allowance.
     """
     p = int(p)
-    t = [-1] * p
-    t[0] = 0
-    for x in range(1, (p + 1) // 2):
+    t = np.full(p, -1, dtype=np.int8)
+    half = (p - 1) // 2
+    for lo in range(0, half, 2**16):
+        x = np.arange(lo + 1, min(lo + 2**16, half) + 1, dtype=np.int64)
         t[x * x % p] = 1
+    t[0] = 0
     return t
 
 

@@ -109,21 +109,27 @@ MUTANTS = [
            "stack += [h, g // h]", "stack += [h]",
            (f"{TF}::test_roots_match_exhaustive_evaluation",)),
     # the vectorized constructions and the file format
+    Mutant("square-map chunk ends one x early", F,
+           "min(lo + 2**16, half) + 1", "min(lo + 2**16 - 1, half) + 1",
+           (f"{TF}::test_legendre_table_matches_square_map_across_chunks",)),
     Mutant("zero symbol mapped to -1 in the single sequence", CO,
-           "np.where(e == 0, 1, e)", "np.where(e == 0, -1, e)",
+           "e | (e == 0).view(np.int8)", "e | -(e == 0).view(np.int8)",
            (f"{TCO}::test_single_zero_rule",
             f"{TCO}::test_constructions_match_per_n_loop")),
     Mutant("p | f(n)g(n) checked on the selected branch only", CO,
-           "(F == 0) | (G == 0)", "np.where(H >= 0, F, G) == 0",
+           "e[F * G == 0] = 1", "e[e == 0] = 1",
            (f"{TCO}::test_triple_branch_precedence",
             f"{TCO}::test_constructions_match_per_n_loop")),
     Mutant("h(n) = 0 selects g", CO,
-           "np.where(H >= 0, F, G)", "np.where(H > 0, F, G)",
+           "m = h >> 7", "m = (h - 1) >> 7",
            (f"{TCO}::test_triple_p7_example",
             f"{TCO}::test_constructions_match_per_n_loop")),
+    Mutant("switch mask inverted in combine and triple", CO,
+           "(f & ~m) | (g & m)", "(f & m) | (g & ~m)",
+           (f"{TCO}::test_combined_examples",
+            f"{TCO}::test_constructions_match_per_n_loop")),
     Mutant("'+' read as -1", CO,
-           "np.where(plus, np.int8(1), np.int8(-1))",
-           "np.where(plus, np.int8(-1), np.int8(1))",
+           "plus.view(np.int8) * 2 - 1", "1 - plus.view(np.int8) * 2",
            (f"{TCO}::test_file_format_round_trip",
             f"{TCO}::test_loads_dumps_identity")),
     Mutant("Horner step adds before multiplying", CO,

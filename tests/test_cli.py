@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import legseq.cli as cli
@@ -586,6 +586,9 @@ def cli_argv(draw):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
+# an OSError on every run, not only when a random argv happens to raise one
+@example(argv=["measure", "--in", "missing.txt"])
+@example(argv=["gen", "--p", "7", "--f", "x", "--out", "missing/out.txt"])
 def test_main_fuzz_ends_in_an_exit_code(argv, tmp_path, monkeypatch, capsys):
     # four examples at p = 11 and 13, with example 1's rows right
     specs = {ex: TableSpec(ex, s.f, s.g, s.h, {11: (0,) * 8, 13: (0,) * 8})

@@ -1,5 +1,8 @@
 """Field and polynomial arithmetic."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,10 +70,39 @@ def test_legendre_square_counts(p):
     assert vals.count(0) == 1
 
 
+def square_map_table(p):
+    """Reference: the per-x Python loop over the square map."""
+    t = [-1] * p
+    t[0] = 0
+    for x in range(1, (p + 1) // 2):
+        t[x * x % p] = 1
+    return t
+
+
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_legendre_table_matches_symbol(p):
     table = legendre_table(p)
-    assert table == [legendre(a, p) for a in range(p)]
+    assert table.dtype == np.int8
+    assert table.tolist() == [legendre(a, p) for a in range(p)]
+
+
+# (786433 - 1)/2 = 6 * 2^16 ends exactly on a chunk boundary; 1048583 not
+@pytest.mark.parametrize("p", [786433, 1048583])
+def test_legendre_table_matches_square_map_across_chunks(p):
+    table = legendre_table(p)
+    assert table.dtype == np.int8
+    assert table.tolist() == square_map_table(p)
+
+
+def test_legendre_table_memory_is_p_bytes_plus_a_fixed_allowance():
+    p = 1048583
+    tracemalloc.start()
+    try:
+        legendre_table(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p + 4 * 2**20
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
