@@ -21,10 +21,11 @@ tuples) batches of at most CELLS // N rows, streamed in lexicographic
 order or drawn first by the seeded sampler, and takes every row's range
 from one int32 cumsum over int8 shifted views of the members.
 
-At exact order 2, `_lag_bounds` first bounds every lag's walk range from
-popcounts of packed sign bits (Packebusch and Mertens, J. Phys. A 49,
-2016), and the engine scores only the lags whose upper bound reaches the
-best lower bound; ties are kept, so every achieving lag is scored.
+Every lag of exact order 2 (`_lag_bounds`) and every sampled draw
+(`_draw_bounds`) is first bounded from popcounts of packed sign bits
+(Packebusch and Mertens, J. Phys. A 49, 2016) by one reducer.  The
+engine scores only those whose upper bound reaches the best lower
+bound; ties are kept, so every achieving one is scored.
 
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for small sequences and are used only by tests.
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import (combinations, combinations_with_replacement, islice,
-                       product)
+from itertools import (combinations, combinations_with_replacement, compress,
+                       islice, product)
 from math import comb
 from typing import Optional
 
@@ -177,17 +178,29 @@ def _witness(views, value, idxs, rel):
     """(member indices 1-based, D, M) of the first window of the
     (idxs, rel) walk whose sum has absolute value `value`."""
     a = _products(views, idxs, np.array([rel], dtype=np.intp))[0]
-    start, M = _range_window(np.concatenate(([0], a.cumsum())), value)
+    walk = np.concatenate(([0], a.cumsum(dtype=np.int32)))
+    start, M = _range_window(walk, value)
     return tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M
+
+
+def _block_bounds(w, pc):
+    """lb <= walk range <= ub of +-1 walks whose block k along the last
+    axis has w <= 64 steps, pc of them -1, and so sums to w - 2 * pc.  The
+    walk passes through every block-end prefix Q, and inside block k stays
+    within (Q_k + Q_{k+1} +- w) / 2."""
+    Q = (w - 2 * pc.astype(np.int16)).cumsum(axis=-1, dtype=np.int32)
+    lb = np.maximum(Q.max(axis=-1), 0) - np.minimum(Q.min(axis=-1), 0)
+    Q += pc  # the top of block k, (Q_k + Q_{k+1} + w) / 2
+    hi = np.maximum(Q.max(axis=-1), 0)
+    Q -= w  # and its bottom, (Q_k + Q_{k+1} - w) / 2
+    return lb, hi - np.minimum(Q.min(axis=-1), 0)
 
 
 def _lag_bounds(views, pairs):
     """lb[p, d] <= walk range <= ub[p, d] of x_n * y_{n+d} for every lag
     d, where (x, y) are the members pairs[p].  A product of +-1 entries is
-    an XOR of sign bits, so a block of w <= 64 products sums to
-    S = w - 2 * popcount(x ^ y).  The walk passes through every block-end
-    prefix Q, and inside block k stays within (Q_k + Q_{k+1} +- w) / 2.
-    Lags go in chunks of at most CELLS words."""
+    an XOR of sign bits, so `_block_bounds` takes its blocks of 64 from
+    popcounts of x ^ y.  Lags go in chunks of at most CELLS words."""
     N = views.shape[2]
     nw = -(-N // 64)
     bits = np.zeros((len(views), 64 * (2 * nw + 1)), dtype=np.uint8)
@@ -212,14 +225,37 @@ def _lag_bounds(views, pairs):
         x = words[J[:, None], s, q, :nk]
         x ^= words[I, 0, 0, :nk][:, None]
         x <<= 64 - w  # masks off the bits past the overlap
-        pc = np.bitwise_count(x).astype(np.int16)
+        pc = np.bitwise_count(x)
         del x  # frees the words before the walk arrays are made
-        Q = (w - 2 * pc).cumsum(axis=2, dtype=np.int32)
-        lb[:, d] = np.maximum(Q.max(axis=2), 0) - np.minimum(Q.min(axis=2), 0)
-        Q += pc  # the top of block k, (Q_k + Q_{k+1} + w) / 2
-        hi = np.maximum(Q.max(axis=2), 0)
-        Q -= w  # and its bottom, (Q_k + Q_{k+1} - w) / 2
-        ub[:, d] = hi - np.minimum(Q.min(axis=2), 0)
+        lb[:, d], ub[:, d] = _block_bounds(w, pc)
+    return lb, ub
+
+
+def _draw_bounds(views, draws):
+    """lb[r] <= walk range <= ub[r] of draw r = (idxs, rel): the product
+    over k of member idxs[k] at lag rel[k], lags nondecreasing.  Sign bits
+    are packed once, unshifted, into 2 * ceil(N / 64) + 2 words w, and
+    lag d = 64q + s reads (w[q + k] >> s) | (w[q + k + 1] << (64 - s)).
+    Draws go in chunks of at most CELLS words per stream."""
+    I, R = np.array(draws, dtype=np.intp).transpose(1, 0, 2)
+    N = views.shape[2]
+    nw = -(-N // 64)
+    words = np.pad(np.packbits(views[:, 0] < 0, axis=1, bitorder="little"),
+                   ((0, 0), (0, 8 * (2 * nw + 2) + -N // 8))).view("<u8")
+    q, s = R >> 6, (R & 63).astype(np.uint8)
+    lb, ub = np.empty((2, len(R)), dtype=np.int32)
+    step = max(1, CELLS // nw)
+    for r in range(0, len(R), step):
+        c = slice(r, r + step)
+        n = N - R[c, -1]  # the overlaps
+        nk = -(-int(n.max()) // 64)
+        rows = sliding_window_view(words, nk + 1, axis=1)
+        x = np.zeros((len(n), nk), dtype=np.uint64)
+        for k in range(R.shape[1]):
+            a, sk = rows[I[c, k], q[c, k]], s[c, k, None]
+            x ^= (a[:, :-1] >> sk) | (a[:, 1:] << (64 - sk))
+        w = np.clip(n[:, None] - 64 * np.arange(nk), 0, 64).astype(np.uint8)
+        lb[c], ub[c] = _block_bounds(w, np.bitwise_count(x << (64 - w)))
     return lb, ub
 
 
@@ -256,10 +292,15 @@ def _exact(views, eq, order):
 
 
 def _sampled(views, draws):
-    """Value over the drawn lag tuples, draws[idxs] those of member tuple
-    idxs, and the witness of the smallest achieving (idxs, rel)."""
+    """Value over the drawn (idxs, rel) pairs, scoring only those whose
+    upper bound reaches the best lower bound (ties kept), and the witness
+    of the smallest achieving one."""
+    lb, ub = _draw_bounds(views, draws)
+    kept = {}
+    for idxs, rel in compress(draws, ub >= lb.max()):
+        kept.setdefault(idxs, []).append(rel)
     value, achieving = _score(views, (
-        batch for idxs, rels in draws.items()
+        batch for idxs, rels in kept.items()
         for batch in _batches(views, idxs, rels)))
     return value, _witness(views, value, *min(achieving))
 
@@ -408,10 +449,11 @@ class SplitMix64:
 def correlation_sampled(E: BinarySequence, order: int, samples: int,
                         seed: int = DEFAULT_SEED) -> MeasureResult:
     """Lower bound on C_l from `samples` uniformly drawn lag tuples, drawn
-    first and then scored exactly over all windows by the engine.  The
-    witness is the first window of the smallest achieving drawn lag
-    tuple.  Deterministic for a fixed seed; exact when samples reaches
-    the number of lag tuples."""
+    first and then scored exactly over all windows by the engine, which
+    skips the draws that `_draw_bounds` rules out.  The witness is the
+    first window of the smallest achieving drawn lag tuple.
+    Deterministic for a fixed seed; exact when samples reaches the
+    number of lag tuples."""
     t0 = time.perf_counter()
     _check_order(E, order)
     N = E.n
@@ -422,8 +464,9 @@ def correlation_sampled(E: BinarySequence, order: int, samples: int,
         value, (_, D, M) = _exact(views, [[True]], order)
     else:
         rng = SplitMix64(seed)
-        value, (_, D, M) = _sampled(views, {(0,) * order: [
-            (0,) + rng.lag_tuple(N, order) for _ in range(samples)]})
+        value, (_, D, M) = _sampled(views, [
+            ((0,) * order, (0,) + rng.lag_tuple(N, order))
+            for _ in range(samples)])
     return MeasureResult("C", order, value, (D, M), method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
@@ -485,10 +528,11 @@ def cross_correlation_sampled(family, order: int, samples: int,
                               seed: int = DEFAULT_SEED) -> MeasureResult:
     """Lower bound on Phi_l from uniformly drawn (member tuple, lag tuple)
     pairs, drawn first and then scored exactly over all windows by the
-    engine; draws that break the distinct-lag rule are redrawn.  The
-    witness is the first window of the smallest achieving draw, and the
-    result is deterministic for a fixed seed.  Raises BudgetExceeded
-    after MAX_REDRAWS rejected draws in a row, which happens only when
+    engine, which skips the draws that `_draw_bounds` rules out; draws
+    that break the distinct-lag rule are redrawn.  The witness is the
+    first window of the smallest achieving draw, and the result is
+    deterministic for a fixed seed.  Raises BudgetExceeded after
+    MAX_REDRAWS rejected draws in a row, which happens only when
     admissible tuples are very rare (an order close to the distinct
     members times N)."""
     t0 = time.perf_counter()
@@ -497,15 +541,16 @@ def cross_correlation_sampled(family, order: int, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m, N = len(family), family[0].n
+    rep = [row.index(True) for row in eq]  # each member's first equal one
     rng = SplitMix64(seed)
-    draws = {}
+    draws = []
     for _ in range(samples):
         for _ in range(MAX_REDRAWS):
             idxs = tuple(rng.below(m) for _ in range(order))
             rel = (0,) + tuple(sorted(rng.below(N)
                                       for _ in range(order - 1)))
-            if not any(rel[i] == rel[j]
-                       for i, j in _equal_pairs(eq, idxs)):
+            # equal members share a lag iff two (rep, lag) pairs coincide
+            if len({(rep[i], d) for i, d in zip(idxs, rel)}) == order:
                 break
         else:
             raise BudgetExceeded(
@@ -513,7 +558,7 @@ def cross_correlation_sampled(family, order: int, samples: int,
                 f"broke the distinct-lag rule, so admissible tuples are "
                 f"too rare to sample; use the exact method "
                 f"(cross_correlation, --method exact)")
-        draws.setdefault(idxs, []).append(rel)
+        draws.append((idxs, rel))
     value, witness = _sampled(_views(family), draws)
     return MeasureResult("Phi", order, value, witness, method="sampled",
                          samples=samples, seed=seed,

@@ -7,8 +7,9 @@ file under src/.  The script copies src/, tests/ and pyproject.toml to a
 temporary directory, first checks that every listed test passes there
 unmutated, then applies one mutant at a time and runs each of its tests
 alone with pytest.  A mutant is killed when every one of its tests
-fails.  Exit status: 0 when all mutants are killed, 1 when one survives,
-2 when a fragment is not found exactly once or a test fails unmutated.
+fails.  The script prints each mutant's time and its own total.  Exit
+status: 0 when all mutants are killed, 1 when one survives, 2 when a
+fragment is not found exactly once or a test fails unmutated.
 pytest does not collect this file: its name matches no test pattern.
 """
 
@@ -19,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,6 +83,22 @@ MUTANTS = [
            "        lb[equal, 0] = -1",
            (f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_block_filter_matches_unfiltered_stream")),
+    # the sampled block filter and the distinct-lag redraw
+    Mutant("sampled bounds read the last word unmasked", M,
+           "np.bitwise_count(x << (64 - w))", "np.bitwise_count(x)",
+           (f"{TM}::test_draw_bounds_enclose_legendre_walks",)),
+    Mutant("sampled filter drops draws whose bound ties the best", M,
+           "ub >= lb.max()", "ub > lb.max()",
+           (f"{TM}::test_sampled_filter_keeps_tied_bounds",
+            f"{TM}::test_sampled_filter_matches_unfiltered_draws")),
+    Mutant("word stream drops the next word's low bits", M,
+           "(a[:, :-1] >> sk) | (a[:, 1:] << (64 - sk))", "(a[:, :-1] >> sk)",
+           (f"{TM}::test_draw_bounds_enclose_legendre_walks",)),
+    Mutant("redraw check keyed on the member, not its first equal one", M,
+           "{(rep[i], d) for i, d in zip(idxs, rel)}",
+           "{(i, d) for i, d in zip(idxs, rel)}",
+           (f"{TM}::test_sampled_redraw_matches_pairwise_rule",
+            f"{TM}::test_phi_sampled_respects_distinct_lag_rule")),
     # exact W pruning and the witness finder
     Mutant("W pruned by floor(N/b)", M,
            "if -(-N // b) <= value:", "if N // b <= value:",
@@ -160,6 +178,7 @@ def passes(work: Path, test: str) -> bool:
 
 
 def main(argv=None) -> int:
+    t0 = time.perf_counter()
     names = sys.argv[1:] if argv is None else argv
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -179,6 +198,7 @@ def main(argv=None) -> int:
             return 2
         survivors = 0
         for m in chosen:
+            start = time.perf_counter()
             path = work / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
@@ -191,9 +211,11 @@ def main(argv=None) -> int:
             finally:
                 path.write_text(text)
             survivors += bool(alive)
-            print(f"{'SURVIVED' if alive else 'killed  '}  {m.name}"
+            print(f"{'SURVIVED' if alive else 'killed  '} "
+                  f"{time.perf_counter() - start:5.1f} s  {m.name}"
                   + "".join(f"\n    passes: {t}" for t in alive))
-        print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+        print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed "
+              f"in {time.perf_counter() - t0:.0f} s")
     return 1 if survivors else 0
 
 

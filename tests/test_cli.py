@@ -441,6 +441,20 @@ def test_crosscorr_sampled_rare_admissible_tuples_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_crosscorr_sampled_rare_tuples_at_twice_the_length_exits_3(tmp_path):
+    # two distinct members of length 24 at order 48 must each take all 24
+    # lags; the redraw check is linear in the order, so the cap is reached
+    # within the timeout and the run ends with a budget error
+    F = write_seq(tmp_path, "f.txt", [1, -1, -1] * 8)
+    G = write_seq(tmp_path, "g.txt", [1, 1, -1] * 8)
+    proc = run_apart("crosscorr", F, G, "--order", "48", "--method",
+                     "sampled", "--samples", "20")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exact" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- bounds ----------------------------------------------------------------
 
 

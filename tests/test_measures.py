@@ -2,11 +2,12 @@
 
 from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legseq import measures
@@ -679,6 +680,153 @@ def test_block_filter_matches_unfiltered_stream():
     assert (res.value, res.witness) == (value, (D, M))
     res = cross_correlation([E, F, E], 2)
     assert (res.value, res.witness) == unfiltered_exact([E, F, E], 2)
+
+
+# --- sampled block bounds ----------------------------------------------------
+
+
+def unfiltered_sampled(family, order, samples, seed, corr=False):
+    """Sampled (value, witness) as before the block filter: the draws of
+    correlation_sampled (corr) or of cross_correlation_sampled, the
+    latter redrawn while a pair of equal members shares a lag, and every
+    draw scored by the engine."""
+    views = measures._views(family)
+    eq = [[a.values == b.values for b in family] for a in family]
+    m, N = len(family), family[0].n
+    rng = SplitMix64(seed)
+
+    def draw():
+        if corr:
+            return (0,) * order, (0,) + rng.lag_tuple(N, order)
+        idxs = tuple(rng.below(m) for _ in range(order))
+        return idxs, (0,) + tuple(sorted(rng.below(N)
+                                         for _ in range(order - 1)))
+
+    draws = {}
+    for _ in range(samples):
+        idxs, rel = draw()
+        while any(rel[i] == rel[j]
+                  for i, j in measures._equal_pairs(eq, idxs)):
+            idxs, rel = draw()
+        draws.setdefault(idxs, []).append(rel)
+    value, achieving = measures._score(views, (
+        batch for idxs, rels in draws.items()
+        for batch in measures._batches(views, idxs, rels)))
+    return value, measures._witness(views, value, *min(achieving))
+
+
+def word_edge_lags(N):
+    """Lags below N, often at d mod 64 in {0, 1, 63}."""
+    return st.one_of(st.integers(0, N - 1), st.sampled_from(
+        [d for d in range(N) if d % 64 in (0, 1, 63)]))
+
+
+def sign_family(data, N):
+    """1 to 3 members of length N drawn from a pool of 2, so repeated
+    members are common."""
+    pool = [data.draw(st.lists(st.sampled_from([-1, 1]), min_size=N,
+                               max_size=N)) for _ in range(2)]
+    return [BinarySequence(tuple(pool[i])) for i in data.draw(
+        st.lists(st.integers(0, 1), min_size=1, max_size=3))]
+
+
+def partial_word_pair():
+    """Legendre sequences of length 2503 = 39 * 64 + 7, which ends in a
+    partial word."""
+    return (construct_single(Poly.make((1, 1, 0, 1), 2503)),
+            construct_single(Poly.make((2, 0, 1), 2503)))
+
+
+def assert_draw_bounds_enclose(fam, draws):
+    lb, ub = measures._draw_bounds(measures._views(fam), draws)
+    for r, (idxs, rel) in enumerate(draws):
+        n = fam[0].n - rel[-1]
+        walk = np.prod([fam[i].array()[d:d + n] for i, d in zip(idxs, rel)],
+                       axis=0)
+        assert lb[r] <= walk_range(walk.tolist()) <= ub[r], (idxs, rel)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_draw_bounds_enclose_every_walk_range(data):
+    N = data.draw(lengths)
+    fam = sign_family(data, N)
+    order = data.draw(st.integers(1, 4))
+    draws = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, len(fam) - 1), min_size=order,
+                 max_size=order),
+        st.lists(word_edge_lags(N), min_size=order, max_size=order).map(
+            sorted)), min_size=1, max_size=8))
+    cells = data.draw(st.sampled_from([1, 64, measures.CELLS]))
+    with mock.patch.object(measures, "CELLS", cells):
+        assert_draw_bounds_enclose(fam, draws)
+
+
+def test_draw_bounds_enclose_legendre_walks(rng):
+    # half of the lags sit at d mod 64 in {0, 1, 63}
+    E, F = partial_word_pair()
+    edges = [d for d in range(2503) if d % 64 in (0, 1, 63)]
+    for order in (1, 2, 3, 4):
+        draws = [(rng.integers(0, 3, order).tolist(), sorted(
+            rng.choice(edges, order).tolist() if r % 2 else
+            rng.integers(0, 2503, order).tolist())) for r in range(20)]
+        assert_draw_bounds_enclose([E, F, E], draws)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sampled_filter_matches_unfiltered_draws(data):
+    N = data.draw(lengths)
+    fam = sign_family(data, N)
+    order = data.draw(st.integers(1, 4))
+    samples = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    assume(order <= len({s.values for s in fam}) * N)
+    res = cross_correlation_sampled(fam, order, samples, seed=seed)
+    assert (res.value, res.witness) \
+        == unfiltered_sampled(fam, order, samples, seed)
+    if 2 <= order < N and samples < comb(N - 1, order - 1):
+        res = correlation_sampled(fam[0], order, samples, seed=seed)
+        value, (_, D, M) = unfiltered_sampled(fam[:1], order, samples, seed,
+                                              corr=True)
+        assert (res.value, res.witness) == (value, (D, M))
+
+
+def test_sampled_filter_keeps_tied_bounds():
+    # a constant product walks straight, so lb = ub for every draw, and
+    # the best draws sit exactly on the best lower bound
+    E = BinarySequence((1,) * 130)
+    F = BinarySequence((-1,) * 130)
+    for order in (2, 3, 4):
+        res = correlation_sampled(E, order, 20, seed=order)
+        value, (_, D, M) = unfiltered_sampled([E], order, 20, order,
+                                              corr=True)
+        assert (res.value, res.witness) == (value, (D, M))
+        res = cross_correlation_sampled([E, F], order, 20, seed=order)
+        assert (res.value, res.witness) \
+            == unfiltered_sampled([E, F], order, 20, order)
+
+
+def test_sampled_redraw_matches_pairwise_rule(rng):
+    # equal members at different indices may not share a lag either
+    A, B = rand_seq(rng, 6), rand_seq(rng, 6)
+    for fam in ([A, A], [A, B, A], [A, A, A]):
+        for order, seed in product((2, 3), range(4)):
+            res = cross_correlation_sampled(fam, order, 30, seed=seed)
+            assert (res.value, res.witness) \
+                == unfiltered_sampled(fam, order, 30, seed)
+
+
+def test_sampled_filter_matches_unfiltered_draws_n2503():
+    E, F = partial_word_pair()  # the family repeats E
+    for order in (2, 3, 4):
+        res = correlation_sampled(E, order, 60, seed=order)
+        value, (_, D, M) = unfiltered_sampled([E], order, 60, order,
+                                              corr=True)
+        assert (res.value, res.witness) == (value, (D, M))
+        res = cross_correlation_sampled([E, F, E], order, 60, seed=order)
+        assert (res.value, res.witness) \
+            == unfiltered_sampled([E, F, E], order, 60, order)
 
 
 @given(st.data())
