@@ -165,7 +165,8 @@ def _measure_sequence(seq, args):
     for order in args.orders:
         if args.method == "sampled":
             measures.append(correlation_sampled(
-                seq, order, args.samples, seed=args.seed))
+                seq, order, args.samples, seed=args.seed,
+                budget=args.budget))
         else:
             measures.append(correlation(seq, order, budget=args.budget))
     return measures
@@ -243,9 +244,9 @@ def cmd_table(args):
                 (ex, p, col, e, g) for col, e, g in mismatches)
 
     if args.format == "csv":
-        print("p," + ",".join(COLUMNS))
+        print("example,p," + ",".join(COLUMNS))
         for ex, p, computed, _, _ in rows:
-            print(f"{p}," + ",".join(str(v) for v in computed))
+            print(f"{ex},{p}," + ",".join(str(v) for v in computed))
     elif args.format == "json":
         payload = [
             {
@@ -317,7 +318,7 @@ def cmd_crosscorr(args):
 def _phi(family, order, args):
     if args.method == "sampled":
         return cross_correlation_sampled(
-            family, order, args.samples, seed=args.seed)
+            family, order, args.samples, seed=args.seed, budget=args.budget)
     return cross_correlation(family, order, budget=args.budget)
 
 

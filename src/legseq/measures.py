@@ -9,17 +9,20 @@ witness is the first window of the smallest achieving draw.
 
 Every measure reduces to the range (max - min) of the prefix walk of a
 +-1 sequence: a residue class of a step b for W, a lag product for C_l
-and Phi_l.  One finder, `_range_window`, turns a walk and its range into
-the first window attaining it.  Exact W scans steps b in increasing
-order and stops once ceil(N/b), the length of the longest class, cannot
-beat the running best, which costs O(N * ceil(N/W)) instead of O(N^2).
+and Phi_l.  One finder, `_range_windows`, takes a batch of walks that
+share their range, one walk a row, and returns each row's first window
+attaining it.  Exact W scans steps b in increasing order and stops once
+ceil(N/b), the length of the longest class, cannot beat the running
+best, which costs O(N * ceil(N/W)) instead of O(N^2).
 
 C_l is Phi_l of the one-member family {E}: equal members may not share
 a lag, so its lags are strictly increasing.  One engine, `_score`,
-serves exact and sampled C_l and Phi_l.  It takes (member tuple, lag
-tuples) batches of at most CELLS // N rows, streamed in lexicographic
-order or drawn first by the seeded sampler, and takes every row's range
-from one int32 cumsum over int8 shifted views of the members.
+serves exact and sampled C_l and Phi_l.  Its sources yield (member
+tuple, lag tuples) as int arrays, streamed in lexicographic order or
+drawn first by the seeded sampler, and it scores them in batches of at
+most CELLS // N rows: one int32 cumsum over int8 shifted views of the
+members gives every row's range, and the same prefix sums give the
+first window of every row that attains the largest.
 
 Every lag of exact order 2 (`_lag_bounds`) and every sampled draw
 (`_draw_bounds`) is first bounded from popcounts of packed sign bits
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import (combinations, combinations_with_replacement, compress,
-                       islice, product)
+from itertools import (combinations, combinations_with_replacement, islice,
+                       product)
 from math import comb
 from typing import Optional
 
@@ -146,41 +149,67 @@ def _products(views, idxs, R):
     return a
 
 
-def _batches(views, idxs, rels, pairs=()):
-    """(idxs, R) batches of the lag tuples rels, each starting with 0, at
-    most max(1, CELLS // N) rows each.  Rows that put the equal members
-    of a pair (i, j) on one lag are dropped; empty batches are skipped."""
-    rels = iter(rels)
-    while chunk := list(islice(rels, max(1, CELLS // views.shape[2]))):
-        R = np.array(chunk, dtype=np.intp)
-        for i, j in pairs:
-            R = R[R[:, i] != R[:, j]]
-        if len(R):
-            yield idxs, R
+def _batches(views, eq, rels):
+    """(idxs, R) batches of at most max(1, CELLS // N) rows from the
+    (member tuple, lag tuples) arrays rels, each lag tuple starting with
+    0, less the rows that put equal members on one lag."""
+    step = max(1, CELLS // views.shape[2])
+    for idxs, R in rels:
+        for i, j in combinations(range(len(idxs)), 2):
+            if eq[idxs[i]][idxs[j]]:
+                R = R[R[:, i] != R[:, j]]
+        for r in range(0, len(R), step):
+            yield idxs, R[r:r + step]
+
+
+def _span(P):
+    """max(P, 0) - min(P, 0) along the last axis: the range of each walk
+    of prefixes P together with its leading 0."""
+    return np.maximum(P.max(axis=-1), 0) - np.minimum(P.min(axis=-1), 0)
+
+
+def _range_windows(P, value):
+    """First (start, length) of each row of walks P, by start then length,
+    with |P[start + length] - P[start]| = value, where value >= 1 is the
+    range max - min of every row; raises ValueError otherwise.
+
+    Such a window joins a minimum to a maximum.  The earlier of the first
+    minimum and the first maximum is the first extreme of all, so the
+    window starts there; every extreme of the other kind comes after it,
+    so the window ends at the first of those."""
+    lo, hi = P.argmin(axis=1), P.argmax(axis=1)
+    rows = np.arange(len(P))
+    if value < 1 or (P[rows, hi] - P[rows, lo] != value).any():
+        raise ValueError(f"walk ranges differ from value {value}")
+    return np.minimum(lo, hi), np.abs(hi - lo)
 
 
 def _score(views, batches):
-    """The largest walk range over all batches, and every (idxs, rel)
-    attaining it."""
-    value, achieving = -1, []
+    """The largest walk range over all batches, and one row (idxs, rel,
+    start, M) for every lag tuple attaining it, (start, M) being the first
+    window of its walk that attains it."""
+    value, hits = -1, []
     for idxs, R in batches:
         P = _products(views, idxs, R).cumsum(axis=1, dtype=np.int32)
-        spans = np.maximum(P.max(axis=1), 0) - np.minimum(P.min(axis=1), 0)
+        spans = _span(P)
         v = int(spans.max())
         if v > value:
-            value, achieving = v, []
+            value, hits = v, []
         if v == value:
-            achieving += [(idxs, tuple(r)) for r in R[spans == v].tolist()]
-    return value, achieving
+            hit = spans == v
+            R = R[hit]
+            hits.append(np.column_stack((
+                np.broadcast_to(idxs, R.shape), R,
+                *_range_windows(np.pad(P[hit], ((0, 0), (1, 0))), v))))
+    return value, np.vstack(hits)
 
 
-def _witness(views, value, idxs, rel):
-    """(member indices 1-based, D, M) of the first window of the
-    (idxs, rel) walk whose sum has absolute value `value`."""
-    a = _products(views, idxs, np.array([rel], dtype=np.intp))[0]
-    walk = np.concatenate(([0], a.cumsum(dtype=np.int32)))
-    start, M = _range_window(walk, value)
-    return tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M
+def _window(hit):
+    """(member indices 1-based, D, M) of a `_score` row (idxs, rel,
+    start, M), given as a list."""
+    k = len(hit) // 2 - 1
+    return (tuple(i + 1 for i in hit[:k]),
+            tuple(hit[-2] + d for d in hit[k:-2]), hit[-1])
 
 
 def _block_bounds(w, pc):
@@ -189,7 +218,7 @@ def _block_bounds(w, pc):
     walk passes through every block-end prefix Q, and inside block k stays
     within (Q_k + Q_{k+1} +- w) / 2."""
     Q = (w - 2 * pc.astype(np.int16)).cumsum(axis=-1, dtype=np.int32)
-    lb = np.maximum(Q.max(axis=-1), 0) - np.minimum(Q.min(axis=-1), 0)
+    lb = _span(Q)
     Q += pc  # the top of block k, (Q_k + Q_{k+1} + w) / 2
     hi = np.maximum(Q.max(axis=-1), 0)
     Q -= w  # and its bottom, (Q_k + Q_{k+1} - w) / 2
@@ -231,13 +260,12 @@ def _lag_bounds(views, pairs):
     return lb, ub
 
 
-def _draw_bounds(views, draws):
-    """lb[r] <= walk range <= ub[r] of draw r = (idxs, rel): the product
-    over k of member idxs[k] at lag rel[k], lags nondecreasing.  Sign bits
+def _draw_bounds(views, I, R):
+    """lb[r] <= walk range <= ub[r] of draw r: the product over k of
+    member I[r, k] at lag R[r, k], lags nondecreasing.  Sign bits
     are packed once, unshifted, into 2 * ceil(N / 64) + 2 words w, and
     lag d = 64q + s reads (w[q + k] >> s) | (w[q + k + 1] << (64 - s)).
     Draws go in chunks of at most CELLS words per stream."""
-    I, R = np.array(draws, dtype=np.intp).transpose(1, 0, 2)
     N = views.shape[2]
     nw = -(-N // 64)
     words = np.pad(np.packbits(views[:, 0] < 0, axis=1, bitorder="little"),
@@ -272,69 +300,45 @@ def _order2_rels(views, eq):
         lb[equal, 0] = ub[equal, 0] = -1
         best = max(best, lb.max())
         for p, idxs in enumerate(group):
-            keep = np.flatnonzero(ub[p] >= best).tolist()
-            yield idxs, [(0, d) for d in keep]
+            keep = np.flatnonzero(ub[p] >= best)
+            yield idxs, np.column_stack((np.zeros_like(keep), keep))
+
+
+def _lag_tuples(views, eq, order):
+    """Each member tuple with its nondecreasing lag tuples starting with
+    0, in lexicographic order and in chunks of at most max(1, CELLS // N)
+    rows."""
+    N = views.shape[2]
+    step = max(1, CELLS // N)
+    for idxs in product(range(len(eq)), repeat=order):
+        rels = combinations_with_replacement(range(N), order - 1)
+        while chunk := list(islice(rels, step)):
+            R = np.zeros((len(chunk), order), dtype=np.intp)
+            R[:, 1:] = chunk
+            yield idxs, R
 
 
 def _exact(views, eq, order):
     """Value and lexicographically smallest witness over every member
     tuple and every admissible nondecreasing lag tuple; at order 2 over
     the lags that `_order2_rels` keeps."""
-    lags = range(views.shape[2])
-    rels = _order2_rels(views, eq) if order == 2 else (
-        (idxs, ((0,) + r for r in combinations_with_replacement(
-            lags, order - 1)))
-        for idxs in product(range(len(eq)), repeat=order))
-    value, achieving = _score(views, (
-        batch for idxs, rel in rels
-        for batch in _batches(views, idxs, rel, _equal_pairs(eq, idxs))))
-    return value, min(_witness(views, value, *a) for a in achieving)
+    rels = (_order2_rels(views, eq) if order == 2
+            else _lag_tuples(views, eq, order))
+    value, hits = _score(views, _batches(views, eq, rels))
+    return value, min(map(_window, hits.tolist()))
 
 
-def _sampled(views, draws):
-    """Value over the drawn (idxs, rel) pairs, scoring only those whose
-    upper bound reaches the best lower bound (ties kept), and the witness
-    of the smallest achieving one."""
-    lb, ub = _draw_bounds(views, draws)
-    kept = {}
-    for idxs, rel in compress(draws, ub >= lb.max()):
-        kept.setdefault(idxs, []).append(rel)
-    value, achieving = _score(views, (
-        batch for idxs, rels in kept.items()
-        for batch in _batches(views, idxs, rels)))
-    return value, _witness(views, value, *min(achieving))
-
-
-def _range_window(walk, value):
-    """First (start, length), by start then length, with
-    |walk[start + length] - walk[start]| = value, where value is the
-    walk's range max - min.
-
-    Such a window joins a minimum to a maximum.  So it starts at the
-    first minimum that has a later maximum or the first maximum that has
-    a later minimum, whichever is earlier, and ends at the first
-    opposite extreme after that.  Returns None when the walk has fewer
-    than two points or its range is below value; raises ValueError when
-    the range is above value.
-    """
-    P = np.asarray(walk)
-    if len(P) < 2:
-        return None
-    lo, hi = P.min(), P.max()
-    if hi - lo < value:
-        return None
-    if hi - lo > value:
-        raise ValueError(f"walk range {hi - lo} exceeds value {value}")
-    at_lo, at_hi = P == lo, P == hi
-    last = len(P) - 1
-    first_lo, first_hi = int(at_lo.argmax()), int(at_hi.argmax())
-    lo_first = first_lo < last - int(at_hi[::-1].argmax())
-    hi_first = first_hi < last - int(at_lo[::-1].argmax())
-    if lo_first and (not hi_first or first_lo < first_hi):
-        start, ends = first_lo, at_hi
-    else:
-        start, ends = first_hi, at_lo
-    return start, int(ends[start + 1:].argmax()) + 1
+def _sampled(views, eq, I, R):
+    """Value over the draws (I[r], R[r]), scoring only those whose upper
+    bound reaches the best lower bound (ties kept), and the witness of the
+    smallest achieving draw."""
+    lb, ub = _draw_bounds(views, I, R)
+    keep = ub >= lb.max()
+    I, R = I[keep], R[keep]
+    members, group = np.unique(I, axis=0, return_inverse=True)
+    value, hits = _score(views, _batches(views, eq, (
+        (idxs, R[group == g]) for g, idxs in enumerate(members))))
+    return value, _window(min(hits.tolist()))
 
 
 def well_distribution(E: BinarySequence, threads: int = 1) -> MeasureResult:
@@ -354,32 +358,25 @@ def well_distribution(E: BinarySequence, threads: int = 1) -> MeasureResult:
     # zero padding repeats each class's last prefix, so max - min is exact
     pad = np.pad(E.array().astype(np.int64), (0, N))
 
-    def class_prefixes(b):
+    def class_walks(b):
+        """Row c: the prefix sums of residue class c of step b."""
         m = -(-N // b)
-        return np.cumsum(pad[: m * b].reshape(m, b), axis=0)
+        return np.cumsum(pad[: m * b].reshape(m, b), axis=0).T
 
     value, b_star = -1, None
     for b in range(1, N + 1):
         if -(-N // b) <= value:
             break
-        P = class_prefixes(b)
-        v = int((np.maximum(P.max(axis=0), 0)
-                 - np.minimum(P.min(axis=0), 0)).max())
+        v = int(_span(class_walks(b)).max())
         if v > value:
             value, b_star = v, b
 
-    best = None  # (a, t)
-    P = np.vstack([np.zeros((1, b_star), dtype=np.int64),
-                   class_prefixes(b_star)])
-    for c in range(b_star):
-        k = (N - c + b_star - 1) // b_star  # elements in class c
-        hit = _range_window(P[: k + 1, c], value)
-        if hit is not None:
-            i, length = hit
-            cand = (c + 1 + (i - 1) * b_star, length)
-            if best is None or cand < best:
-                best = cand
-    a, t = best
+    # a window from step i of class c's walk, from its leading 0, starts
+    # at a = c + 1 + (i - 1) * b_star
+    P = np.pad(class_walks(b_star), ((0, 0), (1, 0)))
+    c = np.flatnonzero(_span(P) == value)
+    i, t = _range_windows(P[c], value)
+    a, t = min(zip((c + 1 + (i - 1) * b_star).tolist(), t.tolist()))
     return MeasureResult("W", None, value, (a, b_star, t),
                          elapsed=time.perf_counter() - t0)
 
@@ -446,27 +443,38 @@ class SplitMix64:
         return tuple(sorted(chosen))
 
 
+def _check_samples(name: str, samples: int, N: int, budget: int):
+    """Refuse a sampled run before any draw unless 1 <= samples and the
+    samples * N steps of scoring every draw fit the work budget."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples * N > budget:
+        raise BudgetExceeded(f"sampled {name} of {samples} draws needs "
+                             f"{samples * N} steps (budget {budget})")
+
+
 def correlation_sampled(E: BinarySequence, order: int, samples: int,
-                        seed: int = DEFAULT_SEED) -> MeasureResult:
+                        seed: int = DEFAULT_SEED,
+                        budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Lower bound on C_l from `samples` uniformly drawn lag tuples, drawn
     first and then scored exactly over all windows by the engine, which
     skips the draws that `_draw_bounds` rules out.  The witness is the
     first window of the smallest achieving drawn lag tuple.
     Deterministic for a fixed seed; exact when samples reaches the
-    number of lag tuples."""
+    number of lag tuples.  Refuses when samples * N exceeds the work
+    budget, which also bounds that exact pass."""
     t0 = time.perf_counter()
     _check_order(E, order)
     N = E.n
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(f"C_{order}", samples, N, budget)
     views = _views([E])
     if samples >= comb(N - 1, order - 1):
         value, (_, D, M) = _exact(views, [[True]], order)
     else:
         rng = SplitMix64(seed)
-        value, (_, D, M) = _sampled(views, [
-            ((0,) * order, (0,) + rng.lag_tuple(N, order))
-            for _ in range(samples)])
+        R = np.array([(0,) + rng.lag_tuple(N, order)
+                      for _ in range(samples)], dtype=np.intp)
+        value, (_, D, M) = _sampled(views, [[True]], np.zeros_like(R), R)
     return MeasureResult("C", order, value, (D, M), method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
@@ -494,14 +502,6 @@ def _check_family(family, order: int):
     return eq
 
 
-def _equal_pairs(eq, idxs) -> list:
-    """Positions i < j of a member tuple that hold equal sequences; such
-    positions must not share a lag."""
-    order = len(idxs)
-    return [(i, j) for i in range(order) for j in range(i + 1, order)
-            if eq[idxs[i]][idxs[j]]]
-
-
 def cross_correlation(family, order: int,
                       budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Exact Phi_l of a family: max |V_l| over all l-tuples of members
@@ -525,22 +525,22 @@ def cross_correlation(family, order: int,
 
 
 def cross_correlation_sampled(family, order: int, samples: int,
-                              seed: int = DEFAULT_SEED) -> MeasureResult:
+                              seed: int = DEFAULT_SEED,
+                              budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Lower bound on Phi_l from uniformly drawn (member tuple, lag tuple)
     pairs, drawn first and then scored exactly over all windows by the
     engine, which skips the draws that `_draw_bounds` rules out; draws
     that break the distinct-lag rule are redrawn.  The witness is the
     first window of the smallest achieving draw, and the result is
-    deterministic for a fixed seed.  Raises BudgetExceeded after
-    MAX_REDRAWS rejected draws in a row, which happens only when
-    admissible tuples are very rare (an order close to the distinct
-    members times N)."""
+    deterministic for a fixed seed.  Raises BudgetExceeded before any
+    draw when samples * N exceeds the work budget, and after MAX_REDRAWS
+    rejected draws in a row, which happens only when admissible tuples
+    are very rare (an order close to the distinct members times N)."""
     t0 = time.perf_counter()
     family = list(family)
     eq = _check_family(family, order)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     m, N = len(family), family[0].n
+    _check_samples(f"Phi_{order}", samples, N, budget)
     rep = [row.index(True) for row in eq]  # each member's first equal one
     rng = SplitMix64(seed)
     draws = []
@@ -559,7 +559,8 @@ def cross_correlation_sampled(family, order: int, samples: int,
                 f"too rare to sample; use the exact method "
                 f"(cross_correlation, --method exact)")
         draws.append((idxs, rel))
-    value, witness = _sampled(_views(family), draws)
+    I, R = np.array(draws, dtype=np.intp).transpose(1, 0, 2)
+    value, witness = _sampled(_views(family), eq, I, R)
     return MeasureResult("Phi", order, value, witness, method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)

@@ -49,13 +49,12 @@ TCO = "tests/test_constructions.py"
 MUTANTS = [
     # tie-breaks: the smallest witness, not the first one found
     Mutant("exact tie-break takes the first achieving tuple", M,
-           "min(_witness(views, value, *a) for a in achieving)",
-           "_witness(views, value, *achieving[0])",
+           "min(map(_window, hits.tolist()))", "_window(hits.tolist()[0])",
            (f"{TM}::test_phi_witness_matches_brute_force",
             f"{TM}::test_corr_matches_oracle")),
     Mutant("sampled tie-break takes the first achieving draw", M,
-           "return value, _witness(views, value, *min(achieving))",
-           "return value, _witness(views, value, *achieving[0])",
+           "return value, _window(min(hits.tolist()))",
+           "return value, _window(hits.tolist()[0])",
            (f"{TM}::test_sampled_c_tie_picks_smallest_lags",
             f"{TM}::test_sampled_phi_tie_picks_smallest_draw")),
     # the batched engine
@@ -65,7 +64,7 @@ MUTANTS = [
            (f"{TM}::test_engine_matches_per_tuple_loop_correlation",
             f"{TM}::test_engine_matches_per_tuple_loop_cross")),
     Mutant("equal members may share a lag", M,
-           "for i, j in pairs:", "for i, j in ():",
+           "if eq[idxs[i]][idxs[j]]:", "if False:",
            (f"{TM}::test_engine_matches_per_tuple_loop_cross",
             f"{TM}::test_phi_witness_matches_brute_force",
             f"{TM}::test_corr_matches_oracle")),
@@ -99,14 +98,29 @@ MUTANTS = [
            "{(i, d) for i, d in zip(idxs, rel)}",
            (f"{TM}::test_sampled_redraw_matches_pairwise_rule",
             f"{TM}::test_phi_sampled_respects_distinct_lag_rule")),
+    # the sampled budget
+    Mutant("sampled draws never checked against the budget", M,
+           "if samples * N > budget:", "if False:",
+           (f"{TCL}::test_sampled_draws_beyond_the_budget_exit_3",)),
     # exact W pruning and the witness finder
     Mutant("W pruned by floor(N/b)", M,
            "if -(-N // b) <= value:", "if N // b <= value:",
            (f"{TM}::test_w_pruned_matches_unpruned_scan_short",)),
+    Mutant("W witness takes the largest start", M,
+           "a, t = min(zip(", "a, t = max(zip(",
+           (f"{TM}::test_w_alternating",
+            f"{TM}::test_w_pruned_matches_unpruned_scan_short")),
     Mutant("witness finder ignores maxima before minima", M,
-           "if lo_first and (not hi_first or first_lo < first_hi):",
-           "if lo_first:",
-           (f"{TM}::test_range_window_matches_reference_search",)),
+           "return np.minimum(lo, hi), np.abs(hi - lo)",
+           "return lo, np.abs(hi - lo)",
+           (f"{TM}::test_range_window_matches_reference_search",
+            f"{TM}::test_w_pruned_matches_unpruned_scan_short")),
+    Mutant("witness finder ends at the last maximum, not the first", M,
+           "lo, hi = P.argmin(axis=1), P.argmax(axis=1)",
+           "lo, hi = P.argmin(axis=1), P.shape[1] - 1 - P[:, ::-1].argmax(1)",
+           (f"{TM}::test_range_window_matches_reference_search",
+            f"{TM}::test_w_pruned_matches_unpruned_scan_short",
+            f"{TM}::test_engine_matches_per_tuple_loop_correlation")),
     # the divisibility check over the dispersion set
     Mutant("shift t = 0 not reported as p", C,
            "return sorted(t or p for t in shifts)", "return sorted(shifts)",

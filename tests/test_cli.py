@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import legseq.tables as tables
 from legseq.cli import main
 from legseq.constructions import BinarySequence
 from legseq.ff import Poly, parse_poly
-from legseq.tables import EXAMPLES, TableSpec
+from legseq.tables import EXAMPLES, PRIMES, TableSpec
 
 
 def run(capsys, *argv):
@@ -302,7 +303,16 @@ def test_table_exit_4_on_mismatch(monkeypatch, capsys):
     assert code == 4
     assert "W_fgh" in err and "1 mismatched cells" in err
     header = out.splitlines()[0]
-    assert header == "p,W_f,W_g,W_h,W_fgh,C2_f,C2_g,C2_h,C2_fgh"
+    assert header == "example,p,W_f,W_g,W_h,W_fgh,C2_f,C2_g,C2_h,C2_fgh"
+
+
+def test_table_csv_rows_keyed_by_example_and_p(monkeypatch, capsys):
+    # every example shares the primes, so p alone repeats across examples
+    monkeypatch.setattr(cli, "diff_row", lambda ex, p: ((0,) * 8, None, []))
+    code, out, _ = run(capsys, "table", "--example", "all", "--format", "csv")
+    assert code == 0
+    keys = [tuple(line.split(",")[:2]) for line in out.splitlines()[1:]]
+    assert len(keys) == len(EXAMPLES) * len(PRIMES) == len(set(keys))
 
 
 def test_table_json_format(monkeypatch, capsys):
@@ -439,6 +449,23 @@ def test_crosscorr_sampled_rare_admissible_tuples_exits_3(tmp_path):
     assert proc.stdout == ""
     assert "exact" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_sampled_draws_beyond_the_budget_exit_3(tmp_path, capsys):
+    # 10^12 draws of 8 steps pass the default budget: the run must refuse
+    # before it draws, not allocate them (run apart, so a hang fails)
+    F = write_seq(tmp_path, "f.txt", [1, -1, -1, 1] * 2)
+    runs = (("measure", "--in", F, "--orders", "2"),
+            ("crosscorr", F, F, "--order", "2"))
+    for argv in runs:
+        proc = run_apart(*argv, "--method", "sampled", "--samples",
+                         "1000000000000", timeout=30)
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+    # --budget reaches both estimators: 10 draws of 8 steps need 80
+    for argv, (budget, code) in product(runs, (("79", 3), ("80", 0))):
+        assert run(capsys, *argv, "--method", "sampled", "--samples", "10",
+                   "--budget", budget)[0] == code
 
 
 def test_crosscorr_sampled_rare_tuples_at_twice_the_length_exits_3(tmp_path):

@@ -14,7 +14,7 @@ from legseq import measures
 from legseq.constructions import BinarySequence, construct_single
 from legseq.ff import Poly, is_prime
 from legseq.measures import (DEFAULT_SEED, BudgetExceeded, SplitMix64,
-                             _range_window, correlation, correlation_sampled,
+                             _range_windows, correlation, correlation_sampled,
                              cross_correlation,
                              cross_correlation_sampled, evaluate_corr_witness,
                              evaluate_cross_witness, evaluate_w_witness,
@@ -94,7 +94,8 @@ def reference_scan(arrays, tuples):
     witness = None
     for idxs, rel in achieving:
         a = reference_products([arrays[i] for i in idxs], rel)
-        start, M = _range_window(np.concatenate([[0], np.cumsum(a)]), value)
+        start, M = reference_first_window(np.concatenate([[0], np.cumsum(a)]),
+                                          value)
         cand = (tuple(i + 1 for i in idxs), tuple(start + d for d in rel), M)
         witness = cand if witness is None else min(witness, cand)
     return value, witness, achieving
@@ -134,8 +135,8 @@ def batch_rows(rows, N):
 def reference_first_window(prefix, value):
     """Smallest (start, length) with |prefix[start+length] - prefix[start]|
     equal to value, by start then length, for any value; None when no
-    window attains it.  The dict-and-bisect search that _range_window
-    replaced."""
+    window attains it.  A dict-and-bisect search that shares no code with
+    the engine's finder."""
     levels = {}
     for i, v in enumerate(prefix):
         levels.setdefault(int(v), []).append(i)
@@ -202,28 +203,35 @@ def random_legendre_seq(rng, lo, hi):
 
 
 def test_range_window_matches_reference_search(rng):
-    for _ in range(3000):
-        n = int(rng.integers(0, 61))
-        walk = np.concatenate([[0], np.cumsum(rng.choice((-1, 1), size=n))])
-        walk = walk[: int(rng.integers(0, n + 2))]  # empty and 1-point too
-        span = int(walk.max() - walk.min()) if len(walk) else 0
-        for value in (span, span + 1, span + 3):
-            assert _range_window(walk, value) \
-                == reference_first_window(walk, value)
+    # batches of walks with zero tails of random lengths, which repeat
+    # the last prefix, as the engine's and W's rows do
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        steps = rng.choice((-1, 1), size=(30, n))
+        steps[np.arange(n) >= rng.integers(1, n + 1, size=(30, 1))] = 0
+        P = np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0)))
+        spans = P.max(axis=1) - P.min(axis=1)
+        for value in np.unique(spans).tolist():
+            rows = P[spans == value]
+            start, length = _range_windows(rows, value)
+            for row, s, t in zip(rows, start.tolist(), length.tolist()):
+                assert (s, t) == reference_first_window(row, value)
 
 
 def test_range_window_short_and_unattained():
-    empty = np.zeros(0, dtype=np.int64)
-    assert _range_window(empty, 0) is None
-    assert _range_window(np.array([5]), 0) is None
-    assert _range_window(np.array([0, 1, 0]), 2) is None
-    assert _range_window(np.array([0, 1, 0, -1]), 2) == (1, 2)
-    assert _range_window(np.array([0, -1, 0, 1, 0, -1]), 2) == (1, 2)
+    assert [w.tolist() for w in _range_windows(
+        np.array([[0, 1, 0, -1, -1, -1], [0, -1, 0, 1, 0, -1]]), 2)] \
+        == [[1, 1], [2, 2]]
+    # fewer than two points, a value no window reaches, or one row short
+    for P, value in (([[5]], 0), ([[0, 0]], 0), ([[0, 1, 0]], 2),
+                     ([[0, 1, 0, -1], [0, 1, 0, 1]], 2)):
+        with pytest.raises(ValueError):
+            _range_windows(np.array(P), value)
 
 
 def test_range_window_refuses_value_below_range():
     with pytest.raises(ValueError):
-        _range_window(np.array([0, 1, 2, 1]), 1)
+        _range_windows(np.array([[0, 1, 2, 1]]), 1)
 
 
 # --- well-distribution -----------------------------------------------------
@@ -549,28 +557,33 @@ def test_sampled_c_tie_picks_smallest_lags():
 
 def test_sampled_phi_tie_picks_smallest_draw():
     # distinct members, so a draw is rejected only when one member
-    # repeats on one lag; seed 12 draws members (1, 0) at lags (0, 5)
-    # before members (0, 0) at lags (0, 7), both of the largest range, 2
+    # repeats on one lag.  Each seed draws two ties of the largest range,
+    # the larger first: seed 12 members (1, 0) at lags (0, 5) before
+    # members (0, 0) at lags (0, 7), of range 2, and seed 2 members
+    # (0, 1) at lags (0, 6) before the same members at lags (0, 3), of
+    # range 3
     fam = [seq_of("+--+-++-+"), seq_of("-++--+-++")]
-    seed, samples, order, m, N = 12, 6, 2, 2, 9
-    rng = SplitMix64(seed)
-    draws = []
-    while len(draws) < samples:
-        idxs = tuple(rng.below(m) for _ in range(order))
-        rel = (0,) + tuple(sorted(rng.below(N) for _ in range(order - 1)))
-        if not (idxs[0] == idxs[1] and rel[0] == rel[1]):
-            draws.append((idxs, rel))
-    ranges = [walk_range(fam[i][n + a] * fam[j][n + b]
-                         for n in range(N - b))
-              for (i, j), (a, b) in draws]
-    ties = [d for d, v in zip(draws, ranges) if v == max(ranges)]
-    assert len(ties) >= 2 and ties[0] != min(ties)
-    res = cross_correlation_sampled(fam, order, samples, seed=seed)
-    idxs, D, M = res.witness
-    assert res.value == max(ranges)
-    assert (tuple(i - 1 for i in idxs), tuple(d - D[0] for d in D)) \
-        == min(ties)
-    assert evaluate_cross_witness(fam, idxs, D, M) == res.value
+    samples, order, m, N = 6, 2, 2, 9
+    for seed in (12, 2):
+        rng = SplitMix64(seed)
+        draws = []
+        while len(draws) < samples:
+            idxs = tuple(rng.below(m) for _ in range(order))
+            rel = (0,) + tuple(sorted(rng.below(N)
+                                      for _ in range(order - 1)))
+            if not (idxs[0] == idxs[1] and rel[0] == rel[1]):
+                draws.append((idxs, rel))
+        ranges = [walk_range(fam[i][n + a] * fam[j][n + b]
+                             for n in range(N - b))
+                  for (i, j), (a, b) in draws]
+        ties = [d for d, v in zip(draws, ranges) if v == max(ranges)]
+        assert len(ties) >= 2 and ties[0] != min(ties)
+        res = cross_correlation_sampled(fam, order, samples, seed=seed)
+        idxs, D, M = res.witness
+        assert res.value == max(ranges)
+        assert (tuple(i - 1 for i in idxs), tuple(d - D[0] for d in D)) \
+            == min(ties)
+        assert evaluate_cross_witness(fam, idxs, D, M) == res.value
 
 
 # --- batched engine against the per-tuple loop -------------------------------
@@ -643,13 +656,9 @@ def unfiltered_exact(family, order):
     every admissible lag tuple is scored."""
     views = measures._views(family)
     eq = [[a.values == b.values for b in family] for a in family]
-    lags = range(family[0].n)
-    value, achieving = measures._score(views, (
-        batch for idxs in product(range(len(family)), repeat=order)
-        for batch in measures._batches(views, idxs, (
-            (0,) + r for r in combinations_with_replacement(lags, order - 1)),
-            measures._equal_pairs(eq, idxs))))
-    return value, min(measures._witness(views, value, *a) for a in achieving)
+    value, hits = measures._score(views, measures._batches(
+        views, eq, measures._lag_tuples(views, eq, order)))
+    return value, min(map(measures._window, hits.tolist()))
 
 
 lengths = st.one_of(st.integers(1, 700),
@@ -702,17 +711,15 @@ def unfiltered_sampled(family, order, samples, seed, corr=False):
         return idxs, (0,) + tuple(sorted(rng.below(N)
                                          for _ in range(order - 1)))
 
-    draws = {}
+    draws = []
     for _ in range(samples):
         idxs, rel = draw()
-        while any(rel[i] == rel[j]
-                  for i, j in measures._equal_pairs(eq, idxs)):
+        while any(eq[idxs[i]][idxs[j]] and rel[i] == rel[j]
+                  for i, j in combinations(range(order), 2)):
             idxs, rel = draw()
-        draws.setdefault(idxs, []).append(rel)
-    value, achieving = measures._score(views, (
-        batch for idxs, rels in draws.items()
-        for batch in measures._batches(views, idxs, rels)))
-    return value, measures._witness(views, value, *min(achieving))
+        draws.append((idxs, np.array([rel])))
+    value, hits = measures._score(views, measures._batches(views, eq, draws))
+    return value, measures._window(min(hits.tolist()))
 
 
 def word_edge_lags(N):
@@ -738,7 +745,8 @@ def partial_word_pair():
 
 
 def assert_draw_bounds_enclose(fam, draws):
-    lb, ub = measures._draw_bounds(measures._views(fam), draws)
+    I, R = (np.array(x, dtype=np.intp) for x in zip(*draws))
+    lb, ub = measures._draw_bounds(measures._views(fam), I, R)
     for r, (idxs, rel) in enumerate(draws):
         n = fam[0].n - rel[-1]
         walk = np.prod([fam[i].array()[d:d + n] for i, d in zip(idxs, rel)],
