@@ -228,6 +228,8 @@ def _parse_orders(text):
         raise CliError(f"bad --orders value {text!r}") from None
     if not orders:
         raise CliError("no correlation orders requested")
+    if len(set(orders)) < len(orders):
+        raise CliError(f"repeated correlation order in --orders {text!r}")
     return orders
 
 
@@ -435,6 +437,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise CliError(f"--budget must be >= 0, not {args.budget}")
         return args.fn(args)
     except CliError as exc:
         error, code = exc, exc.code

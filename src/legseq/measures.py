@@ -17,12 +17,14 @@ best, which costs O(N * ceil(N/W)) instead of O(N^2).
 
 C_l is Phi_l of the one-member family {E}: equal members may not share
 a lag, so its lags are strictly increasing.  One engine, `_score`,
-serves exact and sampled C_l and Phi_l.  Its sources yield (member
-tuple, lag tuples) as int arrays, streamed in lexicographic order or
-drawn first by the seeded sampler, and it scores them in batches of at
-most CELLS // N rows: one int32 cumsum over int8 shifted views of the
-members gives every row's range, and the same prefix sums give the
-first window of every row that attains the largest.
+serves exact and sampled C_l and Phi_l.  It scores (I, R) batches, row
+r being the member tuple I[r] at the lag tuple R[r], from one numpy
+enumerator, `_lag_tuples`, or from the seeded sampler's draws.  A batch
+holds at most CELLS cells, and its rows share nearly one last lag,
+so each row's walk is about its own overlap long.  One int32 cumsum
+over int8 shifted views of the members gives every row's range, and
+the same prefix sums give the first window of every row that attains
+the largest.
 
 Every lag of exact order 2 (`_lag_bounds`) and every sampled draw
 (`_draw_bounds`) is first bounded from popcounts of packed sign bits
@@ -38,8 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import (combinations, combinations_with_replacement, islice,
-                       product)
+from itertools import combinations, product
 from math import comb
 from typing import Optional
 
@@ -58,8 +59,12 @@ _ORACLE_LIMIT = 64
 # probability (1 - q)^MAX_REDRAWS, below e^-16 for q >= 10^-3
 MAX_REDRAWS = 2**14
 
-# the engine scores at most CELLS // N lag tuples of length-N members at once
+# a batch has at most CELLS cells (rows times their widest overlap)
 CELLS = 2**16
+
+# exact orders above this are refused: the budget admits them only close
+# to N, where the enumerator's levels of rows that long would not fit
+MAX_ORDER = 2**10
 
 
 @dataclass(frozen=True)
@@ -139,27 +144,32 @@ def _views(family):
     return sliding_window_view(pad, N, axis=1)
 
 
-def _products(views, idxs, R):
-    """Row r is prod_k views[idxs[k]][R[r, k], :n], where
+def _products(views, I, R):
+    """Row r is prod_k views[I[r, k], R[r, k], :n], where
     n = N - min(R[:, -1]) is the widest overlap in the batch."""
     n = views.shape[2] - int(R[:, -1].min())
-    a = views[idxs[0]][R[:, 0], :n]
-    for i, lags in zip(idxs[1:], R[:, 1:].T):
-        a *= views[i][lags, :n]
+    a = views[I[:, 0], R[:, 0], :n]
+    for k in range(1, R.shape[1]):
+        a *= views[I[:, k], R[:, k], :n]
     return a
 
 
-def _batches(views, eq, rels):
-    """(idxs, R) batches of at most max(1, CELLS // N) rows from the
-    (member tuple, lag tuples) arrays rels, each lag tuple starting with
-    0, less the rows that put equal members on one lag."""
-    step = max(1, CELLS // views.shape[2])
-    for idxs, R in rels:
-        for i, j in combinations(range(len(idxs)), 2):
-            if eq[idxs[i]][idxs[j]]:
-                R = R[R[:, i] != R[:, j]]
-        for r in range(0, len(R), step):
-            yield idxs, R[r:r + step]
+def _rows(n, k, order):
+    """Rows of k of the order positions to hold at once, at least one: at
+    most CELLS cells of walks n long, and CELLS // order index cells at
+    4 * k a row, so that the order levels of `_lag_tuples` share CELLS."""
+    return max(1, CELLS // max(n, 4 * k * order))
+
+
+def _chunks(N, I, R):
+    """The rows (I[r], R[r]) in batches of `_rows`, by last lag."""
+    o = np.argsort(R[:, -1], kind="stable")
+    I, R = I[o], R[o]
+    a, k = 0, R.shape[1]
+    while a < len(R):
+        b = a + _rows(N - int(R[a, -1]), k, k)
+        yield I[a:b], R[a:b]
+        a = b
 
 
 def _span(P):
@@ -185,21 +195,20 @@ def _range_windows(P, value):
 
 
 def _score(views, batches):
-    """The largest walk range over all batches, and one row (idxs, rel,
-    start, M) for every lag tuple attaining it, (start, M) being the first
-    window of its walk that attains it."""
+    """The largest walk range over all (I, R) batches, and one row
+    (members, lags, start, M) for every lag tuple attaining it, (start, M)
+    being the first window of its walk that attains it."""
     value, hits = -1, []
-    for idxs, R in batches:
-        P = _products(views, idxs, R).cumsum(axis=1, dtype=np.int32)
+    for I, R in batches:
+        P = _products(views, I, R).cumsum(axis=1, dtype=np.int32)
         spans = _span(P)
         v = int(spans.max())
         if v > value:
             value, hits = v, []
         if v == value:
             hit = spans == v
-            R = R[hit]
             hits.append(np.column_stack((
-                np.broadcast_to(idxs, R.shape), R,
+                I[hit], R[hit],
                 *_range_windows(np.pad(P[hit], ((0, 0), (1, 0))), v))))
     return value, np.vstack(hits)
 
@@ -288,56 +297,88 @@ def _draw_bounds(views, I, R):
 
 
 def _order2_rels(views, eq):
-    """Each member pair with its admissible lags (0, d) whose upper bound
-    reaches the best lower bound so far, pairs going in groups of at most
-    max(1, CELLS // N).  That best never exceeds the value and ties are
-    kept, so every achieving lag is scored."""
-    pairs = list(product(range(len(eq)), repeat=2))
-    best, step = -1, max(1, CELLS // views.shape[2])
+    """(I, R) batches of each member pair with its admissible lags (0, d)
+    whose upper bound reaches the best lower bound so far, pairs going in
+    groups of at most max(1, CELLS // N).  That best never exceeds the
+    value and ties are kept, so every achieving lag is scored."""
+    N = views.shape[2]
+    pairs = np.array(list(product(range(len(eq)), repeat=2)))
+    best, step = -1, max(1, CELLS // N)
     for group in (pairs[g:g + step] for g in range(0, len(pairs), step)):
         lb, ub = _lag_bounds(views, group)
-        equal = [p for p, (i, j) in enumerate(group) if eq[i][j]]
+        equal = np.asarray(eq)[tuple(group.T)]
         lb[equal, 0] = ub[equal, 0] = -1
         best = max(best, lb.max())
-        for p, idxs in enumerate(group):
-            keep = np.flatnonzero(ub[p] >= best)
-            yield idxs, np.column_stack((np.zeros_like(keep), keep))
+        p, d = np.nonzero(ub >= best)
+        yield from _chunks(N, group[p], np.column_stack((np.zeros_like(d), d)))
 
 
-def _lag_tuples(views, eq, order):
-    """Each member tuple with its nondecreasing lag tuples starting with
-    0, in lexicographic order and in chunks of at most max(1, CELLS // N)
-    rows."""
-    N = views.shape[2]
-    step = max(1, CELLS // N)
-    for idxs in product(range(len(eq)), repeat=order):
-        rels = combinations_with_replacement(range(N), order - 1)
-        while chunk := list(islice(rels, step)):
-            R = np.zeros((len(chunk), order), dtype=np.intp)
-            R[:, 1:] = chunk
-            yield idxs, R
+def _extend(E, N, I, R, order):
+    """Blocks of the admissible extensions by one member i and lag d of
+    the rows (I, R), sorted by last lag.  Candidate g = j * m + i extends
+    row j; the rows of last lag at most d are a prefix, so the candidates
+    of lag d are a range of g, and a block, sorted by d, takes `_rows` of
+    them from its start, less those that put i on one lag with an equal
+    member of row j."""
+    k = R.shape[1] + 1
+    last = R.max(axis=1, initial=0)
+    # the lag at which candidate g would clash, or -1 where it cannot
+    clash = np.where(((R == last[:, None])[:, :, None] & E[I]).any(axis=1),
+                     last[:, None], -1).ravel()
+    # the first lag is 0, the later ones run up to N - 1
+    counts = np.searchsorted(last, np.arange(N if k > 1 else 1), "right")
+    starts = np.concatenate(([0], np.cumsum(len(E) * counts)))
+    a = 0
+    while a < starts[-1]:
+        d = np.searchsorted(starts, a, side="right") - 1
+        n = N - d if k == order else 0
+        f = np.arange(a, min(starts[-1], a + _rows(n, k, order)))
+        a += len(f)
+        d = np.searchsorted(starts, f, side="right") - 1
+        g = f - starts[d]
+        keep = clash[g] != d
+        if keep.any():
+            j, i = np.divmod(g[keep], len(E))
+            yield np.column_stack((I[j], i)), np.column_stack((R[j], d[keep]))
+
+
+def _lag_tuples(eq, N, order):
+    """(I, R) batches of every admissible member tuple I[r] at its
+    nondecreasing lag tuple R[r] from 0, each once.  Depth first, so each
+    position holds one block of rows; a block of whole tuples is a batch
+    that spans member tuples, sorted by last lag.  Orders above MAX_ORDER
+    are refused."""
+    if order > MAX_ORDER:
+        raise BudgetExceeded(f"exact order {order} is above {MAX_ORDER}")
+    E = np.asarray(eq, dtype=bool)
+    levels = [_extend(E, N, *np.zeros((2, 1, 0), dtype=np.intp), order)]
+    while levels:
+        rows = next(levels[-1], None)
+        if rows is None:
+            levels.pop()
+        elif len(levels) < order:
+            levels.append(_extend(E, N, *rows, order))
+        else:
+            yield rows
 
 
 def _exact(views, eq, order):
     """Value and lexicographically smallest witness over every member
     tuple and every admissible nondecreasing lag tuple; at order 2 over
     the lags that `_order2_rels` keeps."""
-    rels = (_order2_rels(views, eq) if order == 2
-            else _lag_tuples(views, eq, order))
-    value, hits = _score(views, _batches(views, eq, rels))
+    batches = (_order2_rels(views, eq) if order == 2
+               else _lag_tuples(eq, views.shape[2], order))
+    value, hits = _score(views, batches)
     return value, min(map(_window, hits.tolist()))
 
 
-def _sampled(views, eq, I, R):
-    """Value over the draws (I[r], R[r]), scoring only those whose upper
-    bound reaches the best lower bound (ties kept), and the witness of the
-    smallest achieving draw."""
+def _sampled(views, I, R):
+    """Value over the admissible draws (I[r], R[r]), scoring only those
+    whose upper bound reaches the best lower bound (ties kept), and the
+    witness of the smallest achieving draw."""
     lb, ub = _draw_bounds(views, I, R)
     keep = ub >= lb.max()
-    I, R = I[keep], R[keep]
-    members, group = np.unique(I, axis=0, return_inverse=True)
-    value, hits = _score(views, _batches(views, eq, (
-        (idxs, R[group == g]) for g, idxs in enumerate(members))))
+    value, hits = _score(views, _chunks(views.shape[2], I[keep], R[keep]))
     return value, _window(min(hits.tolist()))
 
 
@@ -395,9 +436,9 @@ def correlation(E: BinarySequence, order: int,
 
     The sum over n = 1..M with lags D is a window sum of the product
     sequence with relative lags d_i - d_1, so the walk range of each lag
-    tuple is exact; the engine scores them in batches of at most
-    CELLS // N, at order 2 only the lags that `_lag_bounds` cannot rule
-    out.  The witness (D, M) is the lexicographically smallest.
+    tuple is exact; the engine scores them from `_lag_tuples`, at order
+    2 only the lags that `_lag_bounds` cannot rule out.  The witness
+    (D, M) is the lexicographically smallest.
     Refuses when (number of lag tuples) * N exceeds the work budget.
     threads is accepted and ignored.
     """
@@ -474,7 +515,7 @@ def correlation_sampled(E: BinarySequence, order: int, samples: int,
         rng = SplitMix64(seed)
         R = np.array([(0,) + rng.lag_tuple(N, order)
                       for _ in range(samples)], dtype=np.intp)
-        value, (_, D, M) = _sampled(views, [[True]], np.zeros_like(R), R)
+        value, (_, D, M) = _sampled(views, np.zeros_like(R), R)
     return MeasureResult("C", order, value, (D, M), method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
@@ -506,9 +547,9 @@ def cross_correlation(family, order: int,
                       budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Exact Phi_l of a family: max |V_l| over all l-tuples of members
     (with repetition) and nondecreasing lag tuples, excluding choices
-    where two equal sequences share a lag.  The engine streams each
-    member tuple's lag tuples in batches of at most CELLS // N, at order
-    2 only those that `_lag_bounds` cannot rule out.  The witness
+    where two equal sequences share a lag.  The engine scores them from
+    `_lag_tuples`, in batches that span member tuples, at order 2 only
+    those that `_lag_bounds` cannot rule out.  The witness
     (member indices 1-based, D, M) is lexicographically smallest.
     """
     t0 = time.perf_counter()
@@ -560,7 +601,7 @@ def cross_correlation_sampled(family, order: int, samples: int,
                 f"(cross_correlation, --method exact)")
         draws.append((idxs, rel))
     I, R = np.array(draws, dtype=np.intp).transpose(1, 0, 2)
-    value, witness = _sampled(_views(family), eq, I, R)
+    value, witness = _sampled(_views(family), I, R)
     return MeasureResult("Phi", order, value, witness, method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)

@@ -64,13 +64,24 @@ MUTANTS = [
            (f"{TM}::test_engine_matches_per_tuple_loop_correlation",
             f"{TM}::test_engine_matches_per_tuple_loop_cross")),
     Mutant("equal members may share a lag", M,
-           "if eq[idxs[i]][idxs[j]]:", "if False:",
+           "keep = clash[g] != d", "keep = clash[g] == clash[g]",
            (f"{TM}::test_engine_matches_per_tuple_loop_cross",
             f"{TM}::test_phi_witness_matches_brute_force",
-            f"{TM}::test_corr_matches_oracle")),
+            f"{TM}::test_corr_matches_oracle",
+            f"{TM}::test_lag_tuples_at_the_edges")),
+    # the lag-tuple enumerator
+    Mutant("admissibility mask checks adjacent positions only", M,
+           "((R == last[:, None])[:, :, None] & E[I])",
+           "((R == last[:, None])[:, -1:, None] & E[I[:, -1:]])",
+           (f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_lag_tuples_enumerate_each_admissible_tuple_once")),
+    Mutant("enumerator stops at last lag N - 2", M,
+           "np.arange(N if k > 1 else 1)", "np.arange(N - 1 if k > 1 else 1)",
+           (f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_phi_witness_matches_brute_force")),
     # the order-2 block filter
     Mutant("order-2 filter drops lags whose bound ties the best", M,
-           "ub[p] >= best", "ub[p] > best",
+           "np.nonzero(ub >= best)", "np.nonzero(ub > best)",
            (f"{TM}::test_c2_all_ones", f"{TM}::test_c2_alternating")),
     Mutant("width term dropped from the block upper bound", M,
            "Q -= w  #", "Q -= 0  #",

@@ -246,6 +246,26 @@ def test_measure_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_measure_repeated_orders_exit_1(capsys):
+    for orders in ("2,2", "2,3,2"):
+        code, out, err = run(capsys, "measure", "--p", "43", "--f", "x^2+1",
+                             "--orders", orders)
+        assert (code, out) == (1, "")
+        assert "repeated" in err
+
+
+def test_negative_budget_exits_1_and_zero_budget_exits_3(tmp_path, capsys):
+    a = write_seq(tmp_path, "a.txt", (1, -1, 1, 1, -1, -1, 1))
+    b = write_seq(tmp_path, "b.txt", (1, 1, -1, 1, -1, 1, -1))
+    for argv in (("crosscorr", a, b, "--order", "2"),
+                 ("crosscorr", a, b, "--method", "sampled"),
+                 ("measure", "--p", "43", "--f", "x^2+1")):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert (code, out) == (1, "") and "--budget" in err
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert (code, out) == (3, "") and "budget 0" in err
+
+
 @pytest.mark.parametrize("argv", [("gen", "--skip-checks"), ("measure",)])
 def test_length_above_cap_exits_3_before_allocating(monkeypatch, capsys,
                                                    argv):

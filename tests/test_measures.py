@@ -1,8 +1,9 @@
 """Measure engines: exact values, witnesses, oracles, sampling."""
 
 from bisect import bisect_right
-from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from itertools import (combinations, combinations_with_replacement, islice,
+                       product)
+from math import comb, prod
 from unittest import mock
 
 import numpy as np
@@ -540,19 +541,27 @@ def seq_of(signs):
 
 
 def test_sampled_c_tie_picks_smallest_lags():
-    # seed 12 draws lag 4 before lag 1, both of the largest range, 7
-    E, seed, samples = seq_of("++-+---+-++-+--+++-+-"), 12, 8
-    rng = SplitMix64(seed)
-    draws = [rng.lag_tuple(E.n, 2) for _ in range(samples)]
-    ranges = [walk_range(E[i] * E[i + d] for i in range(E.n - d))
-              for (d,) in draws]
-    ties = [lags for lags, v in zip(draws, ranges) if v == max(ranges)]
-    assert len(ties) >= 2 and ties[0] != min(ties)
-    res = correlation_sampled(E, 2, samples, seed=seed)
-    D, M = res.witness
-    assert res.value == max(ranges)
-    assert (D[1] - D[0],) == min(ties)
-    assert evaluate_corr_witness(E, D, M) == res.value
+    # each seed draws two lag tuples of the largest range, the larger
+    # first: seed 12 lag 4 before lag 1, of range 7, and at order 3 seed
+    # 38 lags (4, 11) before (2, 14), of range 5, which the engine also
+    # scores first, as its last lag is smaller
+    for signs, order, seed in (("++-+---+-++-+--+++-+-", 2, 12),
+                               ("++----+-+++--+-+++-++", 3, 38)):
+        E, samples = seq_of(signs), 8
+        rng = SplitMix64(seed)
+        draws = [rng.lag_tuple(E.n, order) for _ in range(samples)]
+        ranges = [walk_range(prod(E[i + d] for d in (0,) + lags)
+                             for i in range(E.n - lags[-1]))
+                  for lags in draws]
+        ties = [lags for lags, v in zip(draws, ranges) if v == max(ranges)]
+        assert len(ties) >= 2 and ties[0] != min(ties)
+        if order == 3:
+            assert min(ties, key=lambda lags: lags[-1]) != min(ties)
+        res = correlation_sampled(E, order, samples, seed=seed)
+        D, M = res.witness
+        assert res.value == max(ranges)
+        assert tuple(d - D[0] for d in D[1:]) == min(ties)
+        assert evaluate_corr_witness(E, D, M) == res.value
 
 
 def test_sampled_phi_tie_picks_smallest_draw():
@@ -647,17 +656,140 @@ def test_engine_skips_member_tuple_with_every_lag_masked():
                                                               (0, 0), 1))
 
 
+# --- the lag-tuple enumerator ------------------------------------------------
+
+
+def reference_lag_tuples(eq, N, order):
+    """A reference enumerator that shares no code with `_lag_tuples`: each
+    member tuple in lexicographic order with its admissible nondecreasing
+    lag tuples starting with 0, from combinations_with_replacement, as
+    (I, R) batches of at most max(1, CELLS // N) rows of one member
+    tuple."""
+    step = max(1, measures.CELLS // N)
+    for idxs in product(range(len(eq)), repeat=order):
+        R = np.array([(0,) + rel for rel in combinations_with_replacement(
+            range(N), order - 1)], dtype=np.intp)
+        for i, j in combinations(range(order), 2):
+            if eq[idxs[i]][idxs[j]]:
+                R = R[R[:, i] != R[:, j]]
+        for r in range(0, len(R), step):
+            yield np.broadcast_to(idxs, R[r:r + step].shape), R[r:r + step]
+
+
+def assert_enumerates_each_admissible_tuple_once(family, order):
+    """`_lag_tuples` yields the reference's (member tuple, lag tuple) rows,
+    each exactly once, in nonempty batches sorted by last lag, each
+    within its row cap."""
+    N = family[0].n
+    eq = [[a.values == b.values for b in family] for a in family]
+    rows = []
+    for I, R in measures._lag_tuples(eq, N, order):
+        assert 1 <= len(R) <= measures._rows(N - R[0, -1], order, order)
+        assert (np.diff(R[:, -1]) >= 0).all()
+        rows += zip(map(tuple, I.tolist()), map(tuple, R.tolist()))
+    expected = [row for I, R in reference_lag_tuples(eq, N, order)
+                for row in zip(map(tuple, I.tolist()), map(tuple, R.tolist()))]
+    assert sorted(rows) == sorted(expected)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lag_tuples_enumerate_each_admissible_tuple_once(data):
+    N = data.draw(st.integers(1, 12))
+    fam = sign_family(data, N)
+    order = data.draw(st.integers(1, 4))
+    cells = data.draw(st.sampled_from([1, 64, measures.CELLS]))
+    with mock.patch.object(measures, "CELLS", cells):
+        assert_enumerates_each_admissible_tuple_once(fam, order)
+
+
+@pytest.mark.parametrize("cells", [1, 64, measures.CELLS])
+def test_lag_tuples_at_the_edges(cells):
+    F, G = BinarySequence((1, -1)), BinarySequence((-1, -1))
+    with mock.patch.object(measures, "CELLS", cells):
+        # at N = 1 every lag is 0, so (F, F) has no admissible lag tuple
+        for order in (1, 2):
+            assert_enumerates_each_admissible_tuple_once(
+                [BinarySequence((1,)), BinarySequence((1,)),
+                 BinarySequence((-1,))], order)
+        # members (F, G, F) at lags (0, 0, 0) put F twice on one lag,
+        # two positions apart
+        assert_enumerates_each_admissible_tuple_once([F, G], 3)
+        rows = [(i, r) for I, R in measures._lag_tuples(
+            [[True, False], [False, True]], 2, 3)
+            for i, r in zip(I.tolist(), R.tolist())]
+        assert ([0, 1, 0], [0, 0, 0]) not in rows
+        assert ([0, 1, 0], [0, 0, 1]) in rows
+        # the last lag runs up to N - 1
+        for order in (1, 2, 3, 4):
+            assert_enumerates_each_admissible_tuple_once([F, G, F], order)
+
+
+def test_lag_tuples_hold_one_bounded_block_per_level():
+    # exact C_9 at N = 40 has 6.1e7 lag tuples, whose first 8 positions
+    # take 1.5e7 rows: depth first, the first batches come after one block
+    # per level
+    seen, extend = [], measures._extend
+
+    def spy(E, N, I, R, order):
+        for block in extend(E, N, I, R, order):
+            seen.append((block[1].shape[1], len(block[1])))
+            yield block
+
+    with mock.patch.object(measures, "_extend", spy):
+        batches = islice(measures._lag_tuples([[True]], 40, 9), 200)
+        assert sum(1 for _ in batches) == 200
+    assert {k for k, _ in seen} == set(range(1, 10))
+    assert all(rows <= measures._rows(0, k, 9) for k, rows in seen)
+    assert len(seen) < 1000
+
+
+def test_exact_order_above_max_order_refused():
+    # the budget admits C_1025 at N = 1026, which has only 1025 lag tuples
+    E = BinarySequence((1, -1) * 513)
+    with pytest.raises(BudgetExceeded):
+        correlation(E, measures.MAX_ORDER + 1)
+
+
+def scanned_batches(fn):
+    """(rows, width n, sum of the rows' own overlaps N - d_last) of every
+    batch that `_products` multiplies out during fn()."""
+    seen, products = [], measures._products
+
+    def spy(views, I, R):
+        N = views.shape[2]
+        seen.append((len(R), N - int(R[:, -1].min()),
+                     int((N - R[:, -1]).sum())))
+        return products(views, I, R)
+
+    with mock.patch.object(measures, "_products", spy):
+        fn()
+    return seen
+
+
+def test_batches_scan_each_rows_own_overlap(rng):
+    # rows of one batch share nearly one last lag, so the batch's width
+    # is close to each row's own overlap, and no batch passes the row cap
+    E = rand_seq(rng, 300)
+    fam = [rand_seq(rng, 40) for _ in range(3)]
+    for fn in (lambda: correlation(E, 3), lambda: cross_correlation(fam, 3)):
+        seen = scanned_batches(fn)
+        assert sum(r * n for r, n, _ in seen) \
+            <= 1.25 * sum(own for _, _, own in seen)
+        assert max(r for r, _, _ in seen) <= measures._rows(0, 3, 3)
+
+
 # --- order-2 block bounds ----------------------------------------------------
 
 
 def unfiltered_exact(family, order):
-    """Exact (value, witness) of Phi_order from the engine's full lag
-    stream, as before the order-2 block filter: every member tuple and
-    every admissible lag tuple is scored."""
+    """Exact (value, witness) of Phi_order from the reference lag stream,
+    as before the order-2 block filter: every member tuple and every
+    admissible lag tuple is scored."""
     views = measures._views(family)
     eq = [[a.values == b.values for b in family] for a in family]
-    value, hits = measures._score(views, measures._batches(
-        views, eq, measures._lag_tuples(views, eq, order)))
+    value, hits = measures._score(
+        views, reference_lag_tuples(eq, family[0].n, order))
     return value, min(map(measures._window, hits.tolist()))
 
 
@@ -717,8 +849,8 @@ def unfiltered_sampled(family, order, samples, seed, corr=False):
         while any(eq[idxs[i]][idxs[j]] and rel[i] == rel[j]
                   for i, j in combinations(range(order), 2)):
             idxs, rel = draw()
-        draws.append((idxs, np.array([rel])))
-    value, hits = measures._score(views, measures._batches(views, eq, draws))
+        draws.append((np.array([idxs]), np.array([rel])))
+    value, hits = measures._score(views, draws)
     return value, measures._window(min(hits.tolist()))
 
 
