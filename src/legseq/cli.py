@@ -18,9 +18,11 @@ byte-identical reports aside from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from itertools import zip_longest
 
 from . import __version__
 from .bounds import (BoundReport, bound_C, bound_theorem3, bound_theoremA_C,
@@ -77,15 +79,16 @@ def _parse_qnr_sets(tokens, p):
 
 
 def _build_inputs(args):
-    """Turn the input flags into (p, single, triple, reports, build): a
-    lone --f or the triple, the checks keyed by name, and the sequence's
-    builder.  `measure --in FILE` gives no polynomials and no checks."""
+    """Turn the input flags into (p, polys, reports, build): the parsed
+    polynomials, (f,) for a lone --f or (f, g, h), the checks keyed by
+    name, and the sequence's builder.  `measure --in FILE` gives no
+    polynomials, (), and no checks."""
     poly_flags = (args.f, args.g, args.h)
     if getattr(args, "infile", None):
         if args.p is not None or args.theorem2 or poly_flags != (None,) * 3:
             raise CliError("--in cannot be combined with other input flags")
         seq = BinarySequence.load(args.infile)
-        return seq.meta.get("p"), None, None, {}, lambda: seq
+        return seq.meta.get("p"), (), {}, lambda: seq
     if args.p is None:
         raise CliError("need --in FILE or --p with polynomials")
     p = PrimeModulus(args.p).p
@@ -108,7 +111,7 @@ def _build_inputs(args):
             # single-polynomial rule only needs f itself squarefree
             reports["squarefree"] = ConditionReport(
                 (check_squarefree("f", f),))
-            return p, f, None, reports, lambda: construct_single(f)
+            return p, (f,), reports, lambda: construct_single(f)
         triple = PolyTriple(f, parse_poly(args.g, p), parse_poly(args.h, p))
     reports["squarefree"] = check_squarefree_triple(triple)
     if reports["squarefree"].overall:
@@ -116,7 +119,8 @@ def _build_inputs(args):
             check_divisibility_condition_symmetric(triple)
             if getattr(args, "symmetric", False)
             else check_divisibility_condition(triple))
-    return p, None, triple, reports, lambda: construct_triple(triple)
+    return (p, (triple.f, triple.g, triple.h), reports,
+            lambda: construct_triple(triple))
 
 
 def _checks_pass(reports):
@@ -132,7 +136,7 @@ def _emit(text, path):
 
 
 def cmd_gen(args):
-    p, _, _, reports, build = _build_inputs(args)
+    p, _, reports, build = _build_inputs(args)
     if not _checks_pass(reports) and not args.skip_checks:
         for name, rep in reports.items():
             for c in rep.checks:
@@ -149,68 +153,62 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    reports = _build_inputs(args)[3]
+    reports = _build_inputs(args)[2]
     payload = {name: rep.to_json() for name, rep in reports.items()}
     payload["overall"] = _checks_pass(reports)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if payload["overall"] else EXIT_CONDITION
 
 
-def _measure_sequence(seq, args):
-    """W and the requested correlation orders of seq, in that order."""
-    if args.oracle:
-        return ([oracle_well_distribution(seq)]
-                + [oracle_correlation(seq, order) for order in args.orders])
-    measures = [well_distribution(seq)]
-    for order in args.orders:
-        if args.method == "sampled":
-            measures.append(correlation_sampled(
-                seq, order, args.samples, seed=args.seed,
-                budget=args.budget))
-        else:
-            measures.append(correlation(seq, order, budget=args.budget))
-    return measures
+def _by_method(exact, sampled, x, order, args):
+    """The order-`order` measure of x by the exact or sampled engine, as
+    --method picks."""
+    if args.method == "sampled":
+        return sampled(x, order, args.samples, seed=args.seed,
+                       budget=args.budget)
+    return exact(x, order, budget=args.budget)
 
 
 def cmd_measure(args):
     t0 = time.perf_counter()
-    args.orders = _parse_orders(args.orders)
-    p, single, triple, reports, build = _build_inputs(args)
+    orders = _parse_orders(args.orders)
+    p, polys, reports, build = _build_inputs(args)
     seq = build()
-    measures = _measure_sequence(seq, args)
+    if args.oracle:
+        measures = ([oracle_well_distribution(seq)]
+                    + [oracle_correlation(seq, order) for order in orders])
+    else:
+        measures = [well_distribution(seq)] + [
+            _by_method(correlation, correlation_sampled, seq, order, args)
+            for order in orders]
 
     bound_reports = []
-    if single is not None or triple is not None:
-        k = single.degree if single is not None else triple.max_degree
+    if polys:
+        k = max(q.degree for q in polys)
+        fn = bound_theoremA_C if len(polys) == 1 else bound_C
         guaranteed = _checks_pass(reports)
         bound_reports.append(BoundReport(
             "W", {"k": k, "p": p}, bound_W(k, p),
             measured=measures[0].value, guaranteed=guaranteed))
         for res in measures[1:]:
             order = res.order
-            fn = bound_theoremA_C if single is not None else bound_C
             corder = check_correlation_order(order, k, p)
             reports[f"correlation_order_{order}"] = corder
             bound_reports.append(BoundReport(
                 f"C{order}", {"k": k, "p": p, "order": order},
                 fn(order, k, p), measured=res.value,
                 guaranteed=guaranteed and corder.overall))
-    return _report(args, t0, seq.n, measures, bound_reports, p, single,
-                   triple, reports)
+    return _report(args, t0, seq.n, measures, bound_reports, p, polys,
+                   reports)
 
 
-def _report(args, t0, n, measures, bound_reports, p=None, single=None,
-            triple=None, conditions=None):
+def _report(args, t0, n, measures, bound_reports, p=None, polys=(),
+            conditions=None):
     """Write the JSON report of measure or crosscorr; timing from t0."""
     report = {
         "version": __version__,
         "p": p,
-        "polynomials": {
-            "f": str(single) if single is not None
-            else (str(triple.f) if triple else None),
-            "g": str(triple.g) if triple else None,
-            "h": str(triple.h) if triple else None,
-        },
+        "polynomials": dict(zip_longest("fgh", map(str, polys))),
         "n": n,
         "conditions": {k: v.to_json() for k, v in (conditions or {}).items()},
         "measures": [m.to_json() for m in measures],
@@ -236,14 +234,7 @@ def _parse_orders(text):
 def cmd_table(args):
     examples = ([int(args.example)] if args.example != "all"
                 else sorted(EXAMPLES))
-    rows = []
-    all_mismatches = []
-    for ex in examples:
-        for p in PRIMES:
-            computed, expected, mismatches = diff_row(ex, p)
-            rows.append((ex, p, computed, expected, mismatches))
-            all_mismatches.extend(
-                (ex, p, col, e, g) for col, e, g in mismatches)
+    rows = [(ex, p, *diff_row(ex, p)) for ex in examples for p in PRIMES]
 
     if args.format == "csv":
         print("example,p," + ",".join(COLUMNS))
@@ -273,9 +264,10 @@ def cmd_table(args):
                 f" {f'{got} PASS' if col not in bad else f'{got}!{exp}':>12}"
                 for col, got, exp in zip(COLUMNS, computed, expected))
             print(f"{ex:>2} {p:>5}{cells}")
-    if all_mismatches:
-        print(f"{len(all_mismatches)} mismatched cells:", file=sys.stderr)
-        for ex, p, col, e, g in all_mismatches:
+    mismatches = [(ex, p, *m) for ex, p, _, _, mm in rows for m in mm]
+    if mismatches:
+        print(f"{len(mismatches)} mismatched cells:", file=sys.stderr)
+        for ex, p, col, e, g in mismatches:
             print(f"  example {ex} p={p} {col}: expected {e}, computed {g}",
                   file=sys.stderr)
         return EXIT_TABLE
@@ -302,7 +294,8 @@ def cmd_crosscorr(args):
         if len({s.array().tobytes() for s in family}) != 3:
             raise CliError("--theorem3 needs pairwise distinct "
                            "sequences", EXIT_CONDITION)
-        measures = [_phi(family, k, args)
+        measures = [_by_method(cross_correlation, cross_correlation_sampled,
+                               family, k, args)
                     for k in range(order, 2 * order + 1)]
         combined = construct_combined(*family)
         cres = correlation(combined, order, budget=args.budget)
@@ -313,15 +306,9 @@ def cmd_crosscorr(args):
             measured=cres.value,
             guaranteed=all(m.method == "exact" for m in measures)))
     else:
-        measures = [_phi(family, order, args)]
+        measures = [_by_method(cross_correlation, cross_correlation_sampled,
+                               family, order, args)]
     return _report(args, t0, family[0].n, measures, bound_reports)
-
-
-def _phi(family, order, args):
-    if args.method == "sampled":
-        return cross_correlation_sampled(
-            family, order, args.samples, seed=args.seed, budget=args.budget)
-    return cross_correlation(family, order, budget=args.budget)
 
 
 def cmd_bounds(args):
@@ -345,6 +332,7 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     ap = _Parser(
         prog="legseq",

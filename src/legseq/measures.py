@@ -33,7 +33,8 @@ engine scores only those whose upper bound reaches the best lower
 bound; ties are kept, so every achieving one is scored.
 
 Brute-force definitional oracles (no algebraic shortcuts) are provided
-for small sequences and are used only by tests.
+for sequences of length at most 64: tests tie the exact engines to
+them, and `legseq measure --oracle` runs them in place of the engines.
 """
 
 from __future__ import annotations
@@ -313,20 +314,24 @@ def _order2_rels(views, eq):
         yield from _chunks(N, group[p], np.column_stack((np.zeros_like(d), d)))
 
 
-def _extend(E, N, I, R, order):
+def _extend(E, D, N, I, R, order):
     """Blocks of the admissible extensions by one member i and lag d of
     the rows (I, R), sorted by last lag.  Candidate g = j * m + i extends
     row j; the rows of last lag at most d are a prefix, so the candidates
     of lag d are a range of g, and a block, sorted by d, takes `_rows` of
     them from its start, less those that put i on one lag with an equal
-    member of row j."""
+    member of row j.  With lag d at position k, the order - k positions
+    still to place have D * (N - d) - 1 (member, lag) pairs left, D being
+    the number of distinct members, so a row completes only if
+    d <= N - 1 - (order - k) // D, and no later lag is tried."""
     k = R.shape[1] + 1
     last = R.max(axis=1, initial=0)
     # the lag at which candidate g would clash, or -1 where it cannot
     clash = np.where(((R == last[:, None])[:, :, None] & E[I]).any(axis=1),
                      last[:, None], -1).ravel()
-    # the first lag is 0, the later ones run up to N - 1
-    counts = np.searchsorted(last, np.arange(N if k > 1 else 1), "right")
+    # the first lag is 0, the later ones run up to where the rest fit
+    stop = N - (order - k) // D if k > 1 else 1
+    counts = np.searchsorted(last, np.arange(stop), "right")
     starts = np.concatenate(([0], np.cumsum(len(E) * counts)))
     a = 0
     while a < starts[-1]:
@@ -351,13 +356,14 @@ def _lag_tuples(eq, N, order):
     if order > MAX_ORDER:
         raise BudgetExceeded(f"exact order {order} is above {MAX_ORDER}")
     E = np.asarray(eq, dtype=bool)
-    levels = [_extend(E, N, *np.zeros((2, 1, 0), dtype=np.intp), order)]
+    D = int((~np.tril(E, -1).any(axis=1)).sum())  # distinct members
+    levels = [_extend(E, D, N, *np.zeros((2, 1, 0), dtype=np.intp), order)]
     while levels:
         rows = next(levels[-1], None)
         if rows is None:
             levels.pop()
         elif len(levels) < order:
-            levels.append(_extend(E, N, *rows, order))
+            levels.append(_extend(E, D, N, *rows, order))
         else:
             yield rows
 

@@ -74,11 +74,17 @@ MUTANTS = [
            "((R == last[:, None])[:, :, None] & E[I])",
            "((R == last[:, None])[:, -1:, None] & E[I[:, -1:]])",
            (f"{TM}::test_lag_tuples_at_the_edges",
-            f"{TM}::test_lag_tuples_enumerate_each_admissible_tuple_once")),
+            f"{TM}::test_phi_witness_matches_brute_force")),
     Mutant("enumerator stops at last lag N - 2", M,
-           "np.arange(N if k > 1 else 1)", "np.arange(N - 1 if k > 1 else 1)",
+           "stop = N - (order - k) // D if",
+           "stop = N - (order - k) // D - (k == order) if",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_phi_witness_matches_brute_force")),
+    Mutant("lag-range cut ends one lag early", M,
+           "stop = N - (order - k) // D if",
+           "stop = N - (order - k) // D - (k < order) if",
+           (f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_orders_close_to_the_most_admissible_finish")),
     # the order-2 block filter
     Mutant("order-2 filter drops lags whose bound ties the best", M,
            "np.nonzero(ub >= best)", "np.nonzero(ub > best)",
@@ -188,6 +194,15 @@ MUTANTS = [
            "except (ValueError, OSError) as exc:", "except ValueError as exc:",
            (f"{TCL}::test_input_errors_exit_1",
             f"{TCL}::test_main_fuzz_ends_in_an_exit_code")),
+    # the CLI's one engine dispatch and its bound formulas
+    Mutant("bound formula chosen from the wrong polynomial count", CL,
+           "bound_theoremA_C if len(polys) == 1 else bound_C",
+           "bound_theoremA_C if len(polys) == 3 else bound_C",
+           (f"{TCL}::test_measure_reports_pinned",)),
+    Mutant("engine dispatch ignores --method sampled", CL,
+           'if args.method == "sampled":', "if False:",
+           (f"{TCL}::test_crosscorr_sampled_theorem3_report_pinned",
+            f"{TCL}::test_measure_sampled_seeded")),
 ]
 
 

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -291,6 +293,71 @@ def test_measure_triple_reports_conditions(capsys):
     assert rep["bounds"][1]["guaranteed"] is True
 
 
+def pinned(capsys, *argv):
+    """(sha256 of the report's text without its timing_ms line, the
+    report), so that a digest pins the report byte for byte apart from
+    its timing."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    text = re.sub(r',\n  "timing_ms": [^\n]*', "", out)
+    return hashlib.sha256(text.encode()).hexdigest(), json.loads(out)
+
+
+def bound_rows(rep):
+    return [(b["name"], b["value"], b["guaranteed"]) for b in rep["bounds"]]
+
+
+def test_measure_reports_pinned(capsys):
+    # 10 k l sqrt(p) ln p for a lone f, 2^(l+3) l k sqrt(p) ln p for three
+    digest, rep = pinned(capsys, "measure", "--p", "101", "--f", "x^2+1",
+                         "--orders", "2,3")
+    assert rep["polynomials"] == {"f": "x^2 + 1", "g": None, "h": None}
+    assert bound_rows(rep) == [("W", 927.6277434147563, True),
+                               ("C2", 1855.2554868295126, True),
+                               ("C3", 2782.883230244269, True)]
+    assert digest == ("9c547ef977b59fec7f4ec97e65334536"
+                      "ff49b59754e3bd3202af77d4905c63e2")
+
+    digest, rep = pinned(capsys, "measure", "--p", "101", "--f", "x^2+1",
+                         "--g", "x^2+3x+1", "--h", "x^3-1", "--orders", "2,3")
+    assert rep["polynomials"] == {"f": "x^2 + 1", "g": "x^2 + 3*x + 1",
+                                  "h": "x^3 + 100"}
+    assert bound_rows(rep) == [("W", 1391.4416151221344, False),
+                               ("C2", 8905.226336781661, False),
+                               ("C3", 26715.679010344982, False)]
+    assert digest == ("ee1630882359ccf57eacae0e4dfe3585"
+                      "e3346e546cae176b27eddd9d49ab0ebe")
+
+    digest, rep = pinned(capsys, "measure", "--p", "101", "--theorem2",
+                         "A=2", "B=8", "C=26", "--orders", "2,3")
+    assert rep["polynomials"] == {"f": "x^2 + 99", "g": "x^2 + 93",
+                                  "h": "x^2 + 75"}
+    assert bound_rows(rep) == [("W", 927.6277434147563, True),
+                               ("C2", 5936.817557854441, True),
+                               ("C3", 17810.452673563323, True)]
+    assert digest == ("3a4a673a966db2ef8f483cd442ab7672"
+                      "7d808823f13e1ca20db62773ded1a319")
+
+
+def test_crosscorr_sampled_theorem3_report_pinned(tmp_path, capsys):
+    # Phi_2..4 sampled, C_2 of the combined sequence exact
+    files = [write_seq(tmp_path, f"s{i}.txt",
+                       [1 if c == "+" else -1 for c in signs])
+             for i, signs in enumerate(("++-+--+-+++--+-+",
+                                        "+--+-++-+-+--++-",
+                                        "---+++-+-+++-+--"))]
+    digest, rep = pinned(capsys, "crosscorr", *files, "--order", "2",
+                         "--theorem3", "--method", "sampled",
+                         "--samples", "40", "--seed", "7")
+    assert [(m["name"], m["order"], m["method"], m["value"])
+            for m in rep["measures"]] == [
+        ("Phi", 2, "sampled", 9), ("Phi", 3, "sampled", 7),
+        ("Phi", 4, "sampled", 5), ("C", 2, "exact", 6)]
+    assert bound_rows(rep) == [("C2_combined", 36.0, False)]
+    assert digest == ("c994830ffef8c6e5c0e2d899d5dd4026"
+                      "efe80e5b73c4c57c0909c2493b0ed721")
+
+
 # --- table -----------------------------------------------------------------
 
 
@@ -511,6 +578,20 @@ def test_bounds_command(capsys):
     assert code == 0
     names = [b["name"] for b in json.loads(out)]
     assert names == ["W", "C2", "C2_single", "weil_incomplete"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built, init = [], cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    for k in ("2", "3"):
+        assert run(capsys, "bounds", "--p", "101", "--k", k)[0] == 0
+    assert built.count("legseq") == 1
 
 
 def test_version_flag(capsys):

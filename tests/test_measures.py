@@ -731,8 +731,8 @@ def test_lag_tuples_hold_one_bounded_block_per_level():
     # per level
     seen, extend = [], measures._extend
 
-    def spy(E, N, I, R, order):
-        for block in extend(E, N, I, R, order):
+    def spy(*args):
+        for block in extend(*args):
             seen.append((block[1].shape[1], len(block[1])))
             yield block
 
@@ -742,6 +742,22 @@ def test_lag_tuples_hold_one_bounded_block_per_level():
     assert {k for k, _ in seen} == set(range(1, 10))
     assert all(rows <= measures._rows(0, k, 9) for k, rows in seen)
     assert len(seen) < 1000
+
+
+def test_orders_close_to_the_most_admissible_finish(rng):
+    # C_39 at N = 40 has only 39 lag tuples, but 2^39 strictly increasing
+    # prefixes: a prefix is extended only while its remaining positions
+    # still fit before lag N - 1
+    E = rand_seq(rng, 40)
+    for order in (39, 38):
+        res, ref = correlation(E, order), oracle_correlation(E, order)
+        assert (res.value, res.witness) == (ref.value, ref.witness)
+    # two distinct members offer two (member, lag) pairs per lag, so
+    # Phi_6 at N = 3 puts both members on every lag
+    fam = [seq_of("+-+"), seq_of("++-"), seq_of("+-+")]
+    for order in (6, 5):
+        res = cross_correlation(fam, order)
+        assert (res.value, res.witness) == brute_cross_witness(fam, order)
 
 
 def test_exact_order_above_max_order_refused():
