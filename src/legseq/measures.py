@@ -18,17 +18,19 @@ best, which costs O(N * ceil(N/W)) instead of O(N^2).
 C_l is Phi_l of the one-member family {E}: equal members may not share
 a lag, so its lags are strictly increasing.  One engine, `_score`,
 serves exact and sampled C_l and Phi_l.  It scores (I, R) batches, row
-r being the member tuple I[r] at the lag tuple R[r], from one numpy
-enumerator, `_lag_tuples`, or from the seeded sampler's draws.  A batch
+r being the member tuple I[r] at the lag tuple R[r], from the exact
+filter `_bounded` or from the seeded sampler's draws.  A batch
 holds at most CELLS cells, and its rows share nearly one last lag,
 so each row's walk is about its own overlap long.  One int32 cumsum
 over int8 shifted views of the members gives every row's range, and
 the same prefix sums give the first window of every row that attains
 the largest.
 
-Every lag of exact order 2 (`_lag_bounds`) and every sampled draw
-(`_draw_bounds`) is first bounded from popcounts of packed sign bits
-(Packebusch and Mertens, J. Phys. A 49, 2016) by one reducer.  The
+Every exact lag tuple and every sampled draw is first bounded from
+popcounts of packed sign bits (Packebusch and Mertens, J. Phys. A 49,
+2016) by one reducer.  One numpy enumerator, `_lag_tuples`, yields the
+exact tuples less their last position, and `_lag_bounds` bounds every
+last (member, lag) of each; `_draw_bounds` bounds the draws.  The
 engine scores only those whose upper bound reaches the best lower
 bound; ties are kept, so every achieving one is scored.
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, pairwise
 from math import comb
 from typing import Optional
 
@@ -162,14 +164,12 @@ def _rows(n, k, order):
     return max(1, CELLS // max(n, 4 * k * order))
 
 
-def _chunks(N, I, R):
-    """The rows (I[r], R[r]) in batches of `_rows`, by last lag."""
-    o = np.argsort(R[:, -1], kind="stable")
-    I, R = I[o], R[o]
-    a, k = 0, R.shape[1]
-    while a < len(R):
-        b = a + _rows(N - int(R[a, -1]), k, k)
-        yield I[a:b], R[a:b]
+def _chunks(N, k, last):
+    """Slices of batches of `_rows` rows of k positions by last lags."""
+    a = 0
+    while a < len(last):
+        b = a + _rows(N - int(last[a]), k, k)
+        yield slice(a, b)
         a = b
 
 
@@ -211,6 +211,7 @@ def _score(views, batches):
             hits.append(np.column_stack((
                 I[hit], R[hit],
                 *_range_windows(np.pad(P[hit], ((0, 0), (1, 0))), v))))
+        del P, spans  # dropped before the filter allocates its next chunk
     return value, np.vstack(hits)
 
 
@@ -235,39 +236,56 @@ def _block_bounds(w, pc):
     return lb, hi - np.minimum(Q.min(axis=-1), 0)
 
 
-def _lag_bounds(views, pairs):
-    """lb[p, d] <= walk range <= ub[p, d] of x_n * y_{n+d} for every lag
-    d, where (x, y) are the members pairs[p].  A product of +-1 entries is
-    an XOR of sign bits, so `_block_bounds` takes its blocks of 64 from
-    popcounts of x ^ y.  Lags go in chunks of at most CELLS words."""
-    N = views.shape[2]
+def _lag_bounds(views, eq, order):
+    """For each block (I, R) of prefixes from `_lag_tuples` and each chunk
+    d of last lags, (I, R, d, lb, ub): lb[j, p, i] <= walk range <=
+    ub[j, p, i] of row p then member i at lag d[j], or -1 below the least
+    lag at which i may follow row p.  Each prefix's sign-bit words are
+    XORed once, and `_block_bounds` reads popcounts of that XOR with
+    member i's words at lag d[j].  A chunk spans the rows of last lag at
+    most d[-1]; it holds at most CELLS words, or one lag, each (lag, row,
+    member) counting as at least 16, as its bounds outlive the words."""
+    N, m = views.shape[2], len(views)
     nw = -(-N // 64)
-    bits = np.zeros((len(views), 64 * (2 * nw + 1)), dtype=np.uint8)
+    bits = np.zeros((m, 64 * (2 * nw + 1)), dtype=np.uint8)
     bits[:, :N] = views[:, 0] < 0
-    # words[i, s, q]: member i's sign bits from entry 64q + s on, and
+    # words[s, q, i]: member i's sign bits from entry 64q + s on, and
     # widths[s, q, k]: entries of block k inside the overlap at lag 64q + s
-    words = sliding_window_view(np.packbits(
+    words = np.moveaxis(sliding_window_view(np.packbits(
         sliding_window_view(bits, 128 * nw, axis=1)[:, :64], axis=2,
-        bitorder="little").view("<u8"), nw, axis=2)
+        bitorder="little").view("<u8"), nw, axis=2), 0, 2)
     widths = sliding_window_view(np.clip(
         N - np.arange(64)[:, None] - 64 * np.arange(2 * nw), 0, 64
     ).astype(np.uint8), nw, axis=1)
-    I, J = np.array(pairs).T
-    lb, ub = np.empty((2, len(pairs), N), dtype=np.int32)
-    d0 = 0
-    while d0 < N:
-        nk = -(-(N - d0) // 64)  # blocks of the chunk's longest overlap
-        d = np.arange(d0, min(N, d0 + max(1, CELLS // (nk * len(pairs)))))
-        d0 += len(d)
-        q, s = np.divmod(d, 64)
-        w = widths[s, q, :nk]
-        x = words[J[:, None], s, q, :nk]
-        x ^= words[I, 0, 0, :nk][:, None]
-        x <<= 64 - w  # masks off the bits past the overlap
-        pc = np.bitwise_count(x)
-        del x  # frees the words before the walk arrays are made
-        lb[:, d], ub[:, d] = _block_bounds(w, pc)
-    return lb, ub
+    E = np.asarray(eq, dtype=bool)
+    lags = np.arange(N + 1)
+    q, s = np.divmod(lags, 64)
+    stop = N if order > 1 else 1  # the first lag is 0
+    for I, R in _lag_tuples(eq, N, order):
+        L, first = _first_lags(E, I, R)
+        X = np.bitwise_xor.reduce(words[R & 63, R >> 6, I], axis=1)
+        A = np.searchsorted(L, lags, "right")  # rows of last lag at most d
+        d0 = L[0]
+        while d0 < stop:
+            nk = -(-(N - d0) // 64)  # blocks of the chunk's longest overlap
+            cap = CELLS // (max(nk, 16) * m)
+            # it ends before (rows up to lag d) * (d - d0 + 1) passes cap
+            j = lags[1:min(stop - d0, cap) + 1]
+            e = d0 + max(1, np.count_nonzero(A[d0:d0 + len(j)] * j <= cap))
+            a, d = A[e - 1], lags[d0:e]
+            w = widths[s[d0:e], q[d0:e], None, None, :nk]
+            # gathered in its final shape: no second array this large
+            x = words[np.broadcast_to(s[d0:e, None], (e - d0, a)),
+                      q[d0:e, None], :, :nk]
+            x ^= X[:a, None, :nk]
+            x <<= 64 - w  # masks off the bits past the overlap
+            x = np.bitwise_count(x)  # frees the words before the walks
+            lb, ub = _block_bounds(w, x)
+            del x  # held across the yield, it cost page faults per chunk
+            bad = d[:, None, None] < first[:a]
+            lb[bad] = ub[bad] = -1
+            d0 = e
+            yield I[:a], R[:a], d, lb, ub
 
 
 def _draw_bounds(views, I, R):
@@ -297,21 +315,11 @@ def _draw_bounds(views, I, R):
     return lb, ub
 
 
-def _order2_rels(views, eq):
-    """(I, R) batches of each member pair with its admissible lags (0, d)
-    whose upper bound reaches the best lower bound so far, pairs going in
-    groups of at most max(1, CELLS // N).  That best never exceeds the
-    value and ties are kept, so every achieving lag is scored."""
-    N = views.shape[2]
-    pairs = np.array(list(product(range(len(eq)), repeat=2)))
-    best, step = -1, max(1, CELLS // N)
-    for group in (pairs[g:g + step] for g in range(0, len(pairs), step)):
-        lb, ub = _lag_bounds(views, group)
-        equal = np.asarray(eq)[tuple(group.T)]
-        lb[equal, 0] = ub[equal, 0] = -1
-        best = max(best, lb.max())
-        p, d = np.nonzero(ub >= best)
-        yield from _chunks(N, group[p], np.column_stack((np.zeros_like(d), d)))
+def _first_lags(E, I, R):
+    """The last lag L[r] of row r and the least lag first[r, i] at which
+    member i may follow it: L[r], or L[r] + 1 if an equal one is there."""
+    L = R.max(axis=1, initial=0)
+    return L, L[:, None] + ((R == L[:, None])[:, :, None] & E[I]).any(axis=1)
 
 
 def _extend(E, D, N, I, R, order):
@@ -319,62 +327,72 @@ def _extend(E, D, N, I, R, order):
     the rows (I, R), sorted by last lag.  Candidate g = j * m + i extends
     row j; the rows of last lag at most d are a prefix, so the candidates
     of lag d are a range of g, and a block, sorted by d, takes `_rows` of
-    them from its start, less those that put i on one lag with an equal
-    member of row j.  With lag d at position k, the order - k positions
-    still to place have D * (N - d) - 1 (member, lag) pairs left, D being
-    the number of distinct members, so a row completes only if
-    d <= N - 1 - (order - k) // D, and no later lag is tried."""
+    them from its start, less those below `_first_lags`.  With lag d at
+    position k, the order - k positions still to place have D * (N - d)
+    - 1 (member, lag) pairs left, D being the number of distinct members,
+    so a row completes only if d <= N - 1 - (order - k) // D, and no
+    later lag is tried."""
     k = R.shape[1] + 1
-    last = R.max(axis=1, initial=0)
-    # the lag at which candidate g would clash, or -1 where it cannot
-    clash = np.where(((R == last[:, None])[:, :, None] & E[I]).any(axis=1),
-                     last[:, None], -1).ravel()
-    # the first lag is 0, the later ones run up to where the rest fit
-    stop = N - (order - k) // D if k > 1 else 1
+    last, first = _first_lags(E, I, R)
+    stop = N - (order - k) // D
     counts = np.searchsorted(last, np.arange(stop), "right")
     starts = np.concatenate(([0], np.cumsum(len(E) * counts)))
     a = 0
     while a < starts[-1]:
-        d = np.searchsorted(starts, a, side="right") - 1
-        n = N - d if k == order else 0
-        f = np.arange(a, min(starts[-1], a + _rows(n, k, order)))
+        f = np.arange(a, min(starts[-1], a + _rows(0, k, order)))
         a += len(f)
         d = np.searchsorted(starts, f, side="right") - 1
         g = f - starts[d]
-        keep = clash[g] != d
+        keep = d >= first.ravel()[g]
         if keep.any():
             j, i = np.divmod(g[keep], len(E))
             yield np.column_stack((I[j], i)), np.column_stack((R[j], d[keep]))
 
 
 def _lag_tuples(eq, N, order):
-    """(I, R) batches of every admissible member tuple I[r] at its
-    nondecreasing lag tuple R[r] from 0, each once.  Depth first, so each
-    position holds one block of rows; a block of whole tuples is a batch
-    that spans member tuples, sorted by last lag.  Orders above MAX_ORDER
-    are refused."""
+    """Blocks (I, R), sorted by last lag, of every admissible member tuple
+    I[r] at its nondecreasing lag tuple R[r] from 0, each once, less the
+    last position, which `_lag_bounds` adds; the lag-range cut is that of
+    the full order.  Depth first, so each position holds one block of
+    rows.  Orders above MAX_ORDER are refused."""
     if order > MAX_ORDER:
         raise BudgetExceeded(f"exact order {order} is above {MAX_ORDER}")
     E = np.asarray(eq, dtype=bool)
     D = int((~np.tril(E, -1).any(axis=1)).sum())  # distinct members
-    levels = [_extend(E, D, N, *np.zeros((2, 1, 0), dtype=np.intp), order)]
+    # the first position puts each member at lag 0, in blocks of `_rows`
+    I, R = np.indices((len(E), 1) if order > 1 else (1, 0))
+    step = _rows(0, 1, order)
+    levels = [iter([(I[a:a + step], R[a:a + step])
+                    for a in range(0, len(I), step)])]
     while levels:
         rows = next(levels[-1], None)
         if rows is None:
             levels.pop()
-        elif len(levels) < order:
+        elif rows[1].shape[1] < order - 1:
             levels.append(_extend(E, D, N, *rows, order))
         else:
             yield rows
 
 
+def _bounded(views, eq, order):
+    """(I, R) batches, by last lag, of the tuples whose upper bound from
+    `_lag_bounds` reaches the best lower bound, from 0, below any walk
+    range, to the end of the next chunk.  Ties are kept, so every
+    achieving tuple is scored."""
+    best = 0
+    for (I, R, d, lb, ub), ahead in pairwise(
+            chain(_lag_bounds(views, eq, order), [None])):
+        best = max(best, lb.max(), ahead[3].max() if ahead else 0)
+        j, p, i = np.nonzero(ub >= best)  # by lag, then row and member
+        for c in _chunks(views.shape[2], order, d[j]):
+            yield (np.column_stack((I[p[c]], i[c])),
+                   np.column_stack((R[p[c]], d[j[c]])))
+
+
 def _exact(views, eq, order):
-    """Value and lexicographically smallest witness over every member
-    tuple and every admissible nondecreasing lag tuple; at order 2 over
-    the lags that `_order2_rels` keeps."""
-    batches = (_order2_rels(views, eq) if order == 2
-               else _lag_tuples(eq, views.shape[2], order))
-    value, hits = _score(views, batches)
+    """Value and lexicographically smallest witness over every admissible
+    member and lag tuple, of which the engine scores those `_bounded` keeps."""
+    value, hits = _score(views, _bounded(views, eq, order))
     return value, min(map(_window, hits.tolist()))
 
 
@@ -383,8 +401,10 @@ def _sampled(views, I, R):
     whose upper bound reaches the best lower bound (ties kept), and the
     witness of the smallest achieving draw."""
     lb, ub = _draw_bounds(views, I, R)
-    keep = ub >= lb.max()
-    value, hits = _score(views, _chunks(views.shape[2], I[keep], R[keep]))
+    keep = np.flatnonzero(ub >= lb.max())
+    keep = keep[np.argsort(R[keep, -1], kind="stable")]
+    value, hits = _score(views, ((I[keep[c]], R[keep[c]]) for c in _chunks(
+        views.shape[2], R.shape[1], R[keep, -1])))
     return value, _window(min(hits.tolist()))
 
 
@@ -442,9 +462,9 @@ def correlation(E: BinarySequence, order: int,
 
     The sum over n = 1..M with lags D is a window sum of the product
     sequence with relative lags d_i - d_1, so the walk range of each lag
-    tuple is exact; the engine scores them from `_lag_tuples`, at order
-    2 only the lags that `_lag_bounds` cannot rule out.  The witness
-    (D, M) is the lexicographically smallest.
+    tuple is exact; the engine scores those that the block bounds of
+    `_bounded` cannot rule out.  The witness (D, M) is the
+    lexicographically smallest.
     Refuses when (number of lag tuples) * N exceeds the work budget.
     threads is accepted and ignored.
     """
@@ -553,10 +573,10 @@ def cross_correlation(family, order: int,
                       budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Exact Phi_l of a family: max |V_l| over all l-tuples of members
     (with repetition) and nondecreasing lag tuples, excluding choices
-    where two equal sequences share a lag.  The engine scores them from
-    `_lag_tuples`, in batches that span member tuples, at order 2 only
-    those that `_lag_bounds` cannot rule out.  The witness
-    (member indices 1-based, D, M) is lexicographically smallest.
+    where two equal sequences share a lag.  The engine scores those that
+    the block bounds of `_bounded` cannot rule out, in batches that span
+    member tuples.  The witness (member indices 1-based, D, M) is
+    lexicographically smallest.
     """
     t0 = time.perf_counter()
     family = list(family)

@@ -64,41 +64,56 @@ MUTANTS = [
            (f"{TM}::test_engine_matches_per_tuple_loop_correlation",
             f"{TM}::test_engine_matches_per_tuple_loop_cross")),
     Mutant("equal members may share a lag", M,
-           "keep = clash[g] != d", "keep = clash[g] == clash[g]",
+           "keep = d >= first.ravel()[g]", "keep = d == d",
            (f"{TM}::test_engine_matches_per_tuple_loop_cross",
             f"{TM}::test_phi_witness_matches_brute_force",
             f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_lag_tuples_at_the_edges")),
     # the lag-tuple enumerator
     Mutant("admissibility mask checks adjacent positions only", M,
-           "((R == last[:, None])[:, :, None] & E[I])",
-           "((R == last[:, None])[:, -1:, None] & E[I[:, -1:]])",
+           "((R == L[:, None])[:, :, None] & E[I])",
+           "((R == L[:, None])[:, -1:, None] & E[I[:, -1:]])",
            (f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_lag_tuples_keep_distant_equal_members_apart",
             f"{TM}::test_phi_witness_matches_brute_force")),
     Mutant("enumerator stops at last lag N - 2", M,
-           "stop = N - (order - k) // D if",
-           "stop = N - (order - k) // D - (k == order) if",
+           "stop = N if order > 1 else 1", "stop = N - 1 if order > 1 else 1",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_phi_witness_matches_brute_force")),
     Mutant("lag-range cut ends one lag early", M,
-           "stop = N - (order - k) // D if",
-           "stop = N - (order - k) // D - (k < order) if",
+           "stop = N - (order - k) // D",
+           "stop = N - (order - k) // D - 1",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_orders_close_to_the_most_admissible_finish")),
-    # the order-2 block filter
-    Mutant("order-2 filter drops lags whose bound ties the best", M,
-           "np.nonzero(ub >= best)", "np.nonzero(ub > best)",
-           (f"{TM}::test_c2_all_ones", f"{TM}::test_c2_alternating")),
+    # the block filter of the last lag
+    Mutant("filter drops last lags whose bound ties the best", M,
+           "nonzero(ub >= best)", "nonzero(ub > best)",
+           (f"{TM}::test_c2_all_ones", f"{TM}::test_c2_alternating",
+            f"{TM}::test_exact_filter_keeps_tied_bounds")),
     Mutant("width term dropped from the block upper bound", M,
            "Q -= w  #", "Q -= 0  #",
            (f"{TM}::test_block_bounds_enclose_every_walk_range",)),
-    Mutant("best lower bound taken before lag 0 of equal members is dropped",
-           M, "lb[equal, 0] = ub[equal, 0] = -1\n"
-           "        best = max(best, lb.max())",
-           "ub[equal, 0] = -1\n        best = max(best, lb.max())\n"
-           "        lb[equal, 0] = -1",
+    Mutant("best lower bound counts inadmissible last lags", M,
+           "lb[bad] = ub[bad] = -1", "ub[bad] = -1",
            (f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_block_filter_matches_unfiltered_stream")),
+    Mutant("filter ignores the clash at the prefix's last lag", M,
+           "bad = d[:, None, None] < first[:a]",
+           "bad = d[:, None, None] < L[:a, None]",
+           (f"{TM}::test_corr_matches_oracle",
+            f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
+    Mutant("last lag starts at L + 1 for distinct members", M,
+           "bad = d[:, None, None] < first[:a]",
+           "bad = d[:, None, None] <= L[:a, None]",
+           (f"{TM}::test_phi_constant_opposite_pair",
+            f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
+    Mutant("prefix XOR skips one position", M,
+           "words[R & 63, R >> 6, I]",
+           "words[R[:, 1:] & 63, R[:, 1:] >> 6, I[:, 1:]]",
+           (f"{TM}::test_lag_bounds_enclose_every_walk_range",
+            f"{TM}::test_block_bounds_enclose_every_walk_range")),
     # the sampled block filter and the distinct-lag redraw
     Mutant("sampled bounds read the last word unmasked", M,
            "np.bitwise_count(x << (64 - w))", "np.bitwise_count(x)",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from legseq import measures
 from legseq.constructions import BinarySequence, construct_single
 from legseq.ff import Poly, is_prime
+from legseq.tables import example_triple
 from legseq.measures import (DEFAULT_SEED, BudgetExceeded, SplitMix64,
                              _range_windows, correlation, correlation_sampled,
                              cross_correlation,
@@ -676,18 +677,34 @@ def reference_lag_tuples(eq, N, order):
             yield np.broadcast_to(idxs, R[r:r + step].shape), R[r:r + step]
 
 
-def assert_enumerates_each_admissible_tuple_once(family, order):
-    """`_lag_tuples` yields the reference's (member tuple, lag tuple) rows,
-    each exactly once, in nonempty batches sorted by last lag, each
-    within its row cap."""
+def lag_bound_chunks(family, order):
+    """(I, R, lb, ub) of each chunk of `_lag_bounds`, over the candidate
+    (member tuple, lag tuple) rows of upper bound at least 0, the
+    filter's best before any pruning, after checking that each block of
+    prefixes from `_lag_tuples` is nonempty, sorted by last lag and
+    within its row cap, and that each chunk holds at most CELLS words or
+    one lag."""
     N = family[0].n
     eq = [[a.values == b.values for b in family] for a in family]
-    rows = []
     for I, R in measures._lag_tuples(eq, N, order):
-        assert 1 <= len(R) <= measures._rows(N - R[0, -1], order, order)
-        assert (np.diff(R[:, -1]) >= 0).all()
-        rows += zip(map(tuple, I.tolist()), map(tuple, R.tolist()))
-    expected = [row for I, R in reference_lag_tuples(eq, N, order)
+        assert 1 <= len(R) <= measures._rows(0, max(1, order - 1), order)
+        assert (np.diff(R.max(axis=1, initial=0)) >= 0).all()
+    for I, R, d, lb, ub in measures._lag_bounds(measures._views(family), eq,
+                                                order):
+        assert len(d) == 1 or ub.size * -(-(N - d[0]) // 64) \
+            <= measures.CELLS
+        j, p, i = np.nonzero(ub >= 0)
+        yield (np.column_stack((I[p], i)), np.column_stack((R[p], d[j])),
+               lb[j, p, i], ub[j, p, i])
+
+
+def assert_enumerates_each_admissible_tuple_once(family, order):
+    """The filter's candidates before pruning are the reference's
+    (member tuple, lag tuple) rows, each exactly once."""
+    rows = [row for I, R, _, _ in lag_bound_chunks(family, order)
+            for row in zip(map(tuple, I.tolist()), map(tuple, R.tolist()))]
+    eq = [[a.values == b.values for b in family] for a in family]
+    expected = [row for I, R in reference_lag_tuples(eq, family[0].n, order)
                 for row in zip(map(tuple, I.tolist()), map(tuple, R.tolist()))]
     assert sorted(rows) == sorted(expected)
 
@@ -704,6 +721,23 @@ def test_lag_tuples_enumerate_each_admissible_tuple_once(data):
 
 
 @pytest.mark.parametrize("cells", [1, 64, measures.CELLS])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("shape", ["FG", "FGF", "GFF"])
+def test_lag_tuples_keep_distant_equal_members_apart(rng, shape, order,
+                                                      cells):
+    # two distinct members offer the member tuple (F, G, F), whose lags
+    # (d, d, d) put F twice on one lag two positions apart: the random
+    # family of the hypothesis test above has two distinct members only
+    # sometimes
+    N = int(rng.integers(2, 9))
+    F = rand_seq(rng, N)
+    G = -F
+    fam = [{"F": F, "G": G}[c] for c in shape]
+    with mock.patch.object(measures, "CELLS", cells):
+        assert_enumerates_each_admissible_tuple_once(fam, order)
+
+
+@pytest.mark.parametrize("cells", [1, 64, measures.CELLS])
 def test_lag_tuples_at_the_edges(cells):
     F, G = BinarySequence((1, -1)), BinarySequence((-1, -1))
     with mock.patch.object(measures, "CELLS", cells):
@@ -715,9 +749,8 @@ def test_lag_tuples_at_the_edges(cells):
         # members (F, G, F) at lags (0, 0, 0) put F twice on one lag,
         # two positions apart
         assert_enumerates_each_admissible_tuple_once([F, G], 3)
-        rows = [(i, r) for I, R in measures._lag_tuples(
-            [[True, False], [False, True]], 2, 3)
-            for i, r in zip(I.tolist(), R.tolist())]
+        rows = [(i, r) for I, R, _, _ in lag_bound_chunks([F, G], 3)
+                for i, r in zip(I.tolist(), R.tolist())]
         assert ([0, 1, 0], [0, 0, 0]) not in rows
         assert ([0, 1, 0], [0, 0, 1]) in rows
         # the last lag runs up to N - 1
@@ -725,10 +758,10 @@ def test_lag_tuples_at_the_edges(cells):
             assert_enumerates_each_admissible_tuple_once([F, G, F], order)
 
 
-def test_lag_tuples_hold_one_bounded_block_per_level():
+def test_lag_tuples_hold_one_bounded_block_per_level(rng):
     # exact C_9 at N = 40 has 6.1e7 lag tuples, whose first 8 positions
-    # take 1.5e7 rows: depth first, the first batches come after one block
-    # per level
+    # take 1.5e7 rows: depth first, the filter's first batches come after
+    # one block per level of prefixes past the first, each member at lag 0
     seen, extend = [], measures._extend
 
     def spy(*args):
@@ -736,10 +769,11 @@ def test_lag_tuples_hold_one_bounded_block_per_level():
             seen.append((block[1].shape[1], len(block[1])))
             yield block
 
+    views = measures._views([rand_seq(rng, 40)])
     with mock.patch.object(measures, "_extend", spy):
-        batches = islice(measures._lag_tuples([[True]], 40, 9), 200)
+        batches = islice(measures._bounded(views, [[True]], 9), 200)
         assert sum(1 for _ in batches) == 200
-    assert {k for k, _ in seen} == set(range(1, 10))
+    assert {k for k, _ in seen} == set(range(2, 9))
     assert all(rows <= measures._rows(0, k, 9) for k, rows in seen)
     assert len(seen) < 1000
 
@@ -795,18 +829,41 @@ def test_batches_scan_each_rows_own_overlap(rng):
         assert max(r for r, _, _ in seen) <= measures._rows(0, 3, 3)
 
 
-# --- order-2 block bounds ----------------------------------------------------
+# --- block bounds of the last lag -------------------------------------------
 
 
 def unfiltered_exact(family, order):
     """Exact (value, witness) of Phi_order from the reference lag stream,
-    as before the order-2 block filter: every member tuple and every
-    admissible lag tuple is scored."""
+    as before the block filter: every member tuple and every admissible
+    lag tuple is scored."""
     views = measures._views(family)
     eq = [[a.values == b.values for b in family] for a in family]
     value, hits = measures._score(
         views, reference_lag_tuples(eq, family[0].n, order))
     return value, min(map(measures._window, hits.tolist()))
+
+
+def reference_walk_ranges(family, I, R):
+    """Walk range of each row r, with its leading 0: the product over k
+    of member I[r, k] from entry R[r, k] on, over the overlap
+    N - R[r, -1]."""
+    N = family[0].n
+    A = np.array([s.values for s in family], dtype=np.int8)
+    t = np.arange(N)
+    steps = np.prod(A[I[:, :, None], np.minimum(R[:, :, None] + t, N - 1)],
+                    axis=1, dtype=np.int8)
+    steps[t >= N - R[:, -1:]] = 0
+    P = np.cumsum(steps, axis=1, dtype=np.int32)
+    return np.maximum(P.max(axis=1), 0) - np.minimum(P.min(axis=1), 0)
+
+
+def assert_lag_bounds_enclose(family, order):
+    """lb <= walk range <= ub for every (prefix, last member, last lag)
+    that `_lag_bounds` bounds."""
+    for I, R, lb, ub in lag_bound_chunks(family, order):
+        r = reference_walk_ranges(family, I, R)
+        bad = (lb > r) | (r > ub)
+        assert not bad.any(), (I[bad][0], R[bad][0])
 
 
 lengths = st.one_of(st.integers(1, 700),
@@ -819,13 +876,56 @@ def test_block_bounds_enclose_every_walk_range(data):
     N = data.draw(lengths)
     x, y = (data.draw(st.lists(st.sampled_from([-1, 1]),
                                min_size=N, max_size=N)) for _ in range(2))
-    lb, ub = measures._lag_bounds(
-        measures._views([BinarySequence(tuple(x)), BinarySequence(tuple(y))]),
-        list(product(range(2), repeat=2)))
-    for p, (a, b) in enumerate(product((x, y), repeat=2)):
-        for d in range(N):
-            r = walk_range(u * v for u, v in zip(a, b[d:]))
-            assert lb[p, d] <= r <= ub[p, d], (p, d)
+    assert_lag_bounds_enclose(
+        [BinarySequence(tuple(x)), BinarySequence(tuple(y))], 2)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lag_bounds_enclose_every_walk_range(data):
+    # orders up to 4 at short lengths, and the word edges at the orders
+    # whose chunks stay few under a small cell cap
+    cells = data.draw(st.sampled_from([1, 64, measures.CELLS]))
+    N = data.draw(st.one_of(st.integers(1, 12), st.sampled_from(
+        [63, 64, 65, 127, 128, 129])))
+    fam = sign_family(data, N)
+    order = data.draw(st.integers(
+        1, 4 if N <= 12 else 3 if cells == measures.CELLS else 2))
+    with mock.patch.object(measures, "CELLS", cells):
+        assert_lag_bounds_enclose(fam, order)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_filter_matches_unfiltered_exact(data):
+    # exact C_3 up to N = 300, and Phi_3 and Phi_4 up to N = 40 with
+    # repeated members, lengths that the oracles cannot reach
+    if data.draw(st.booleans()):
+        N = data.draw(st.integers(4, 300))
+        E = BinarySequence(tuple(data.draw(st.lists(
+            st.sampled_from([-1, 1]), min_size=N, max_size=N))))
+        res = correlation(E, 3)
+        value, (_, D, M) = unfiltered_exact([E], 3)
+        assert (res.value, res.witness) == (value, (D, M))
+    else:
+        N = data.draw(st.integers(1, 40))
+        fam = sign_family(data, N)
+        order = data.draw(st.sampled_from([3, 4]))
+        assume(order <= len({s.values for s in fam}) * N)
+        res = cross_correlation(fam, order)
+        assert (res.value, res.witness) == unfiltered_exact(fam, order)
+
+
+def test_exact_c3_at_a_table_prime():
+    # example 1's f at p = 2003: the block bounds leave fewer than 1% of
+    # the 2 003 001 lag tuples to score, and the value and witness are
+    # those of the engine that scored every one
+    E = construct_single(example_triple(1, 2003).f)
+    res = []
+    seen = scanned_batches(lambda: res.append(correlation(E, 3)))
+    assert (res[0].value, res[0].witness) == (184, ((49, 161, 318), 1556))
+    assert evaluate_corr_witness(E, *res[0].witness) == 184
+    assert sum(rows for rows, _, _ in seen) < comb(2002, 2) // 100
 
 
 def test_block_filter_matches_unfiltered_stream():
@@ -837,6 +937,20 @@ def test_block_filter_matches_unfiltered_stream():
     assert (res.value, res.witness) == (value, (D, M))
     res = cross_correlation([E, F, E], 2)
     assert (res.value, res.witness) == unfiltered_exact([E, F, E], 2)
+
+
+def test_exact_filter_keeps_tied_bounds():
+    # a constant product walks straight, so lb = ub for every lag tuple,
+    # and the achieving ones sit exactly on the best lower bound
+    E = BinarySequence((1,) * 130)
+    for order in (2, 3, 4):
+        res = correlation(E, order)
+        assert (res.value, res.witness) \
+            == (131 - order, (tuple(range(order)), 131 - order))
+    fam = [BinarySequence((1,) * 70), BinarySequence((-1,) * 70)]
+    for order in (2, 3):
+        res = cross_correlation(fam, order)
+        assert (res.value, res.witness) == unfiltered_exact(fam, order)
 
 
 # --- sampled block bounds ----------------------------------------------------
