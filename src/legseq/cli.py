@@ -106,8 +106,6 @@ def _build_inputs(args):
         if (args.g is None) != (args.h is None):
             raise CliError("--g and --h must be given together")
         if args.g is None:
-            if f.degree < 1:
-                raise CliError("constant polynomial")
             # single-polynomial rule only needs f itself squarefree
             reports["squarefree"] = ConditionReport(
                 (check_squarefree("f", f),))

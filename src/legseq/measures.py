@@ -28,11 +28,14 @@ the largest.
 
 Every exact lag tuple and every sampled draw is first bounded from
 popcounts of packed sign bits (Packebusch and Mertens, J. Phys. A 49,
-2016) by one reducer.  One numpy enumerator, `_lag_tuples`, yields the
-exact tuples less their last position, and `_lag_bounds` bounds every
-last (member, lag) of each; `_draw_bounds` bounds the draws.  The
-engine scores only those whose upper bound reaches the best lower
-bound; ties are kept, so every achieving one is scored.
+2016) by one reducer.  One generator, `_grid`, decides which (member,
+lag) may extend a block of rows at every position: it owns the
+admissibility rule, the lag-range cut and the chunking.  The numpy
+enumerator `_lag_tuples` builds the exact tuples less their last
+position from it, and `_lag_bounds` bounds every last (member, lag) of
+each chunk it yields; `_draw_bounds` bounds the draws.  The engine
+scores only those whose upper bound reaches the best lower bound; ties
+are kept, so every achieving one is scored.
 
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for sequences of length at most 64: tests tie the exact engines to
@@ -164,11 +167,12 @@ def _rows(n, k, order):
     return max(1, CELLS // max(n, 4 * k * order))
 
 
-def _chunks(N, k, last):
-    """Slices of batches of `_rows` rows of k positions by last lags."""
+def _chunks(last, rows):
+    """Slices of batches by last lags, each of rows(L) rows, L being the
+    last lag of its first row."""
     a = 0
     while a < len(last):
-        b = a + _rows(N - int(last[a]), k, k)
+        b = a + rows(int(last[a]))
         yield slice(a, b)
         a = b
 
@@ -237,17 +241,15 @@ def _block_bounds(w, pc):
 
 
 def _lag_bounds(views, eq, order):
-    """For each block (I, R) of prefixes from `_lag_tuples` and each chunk
-    d of last lags, (I, R, d, lb, ub): lb[j, p, i] <= walk range <=
-    ub[j, p, i] of row p then member i at lag d[j], or -1 below the least
-    lag at which i may follow row p.  Each prefix's sign-bit words are
-    XORed once, and `_block_bounds` reads popcounts of that XOR with
-    member i's words at lag d[j].  A chunk spans the rows of last lag at
-    most d[-1]; it holds at most CELLS words, or one lag, each (lag, row,
-    member) counting as at least 16, as its bounds outlive the words."""
-    N, m = views.shape[2], len(views)
+    """For each block (I, R) of prefixes from `_lag_tuples` and each
+    `_grid` chunk (d, a, bad) of its last position, (I[:a], R[:a], d, lb,
+    ub): lb[j, p, i] <= walk range <= ub[j, p, i] of row p then member i
+    at lag d[j], or -1 where bad.  Each prefix's sign-bit words are XORed
+    once, and `_block_bounds` reads popcounts of that XOR with member i's
+    words at lag d[j]."""
+    N, eq = views.shape[2], np.asarray(eq, dtype=bool)
     nw = -(-N // 64)
-    bits = np.zeros((m, 64 * (2 * nw + 1)), dtype=np.uint8)
+    bits = np.zeros((len(views), 64 * (2 * nw + 1)), dtype=np.uint8)
     bits[:, :N] = views[:, 0] < 0
     # words[s, q, i]: member i's sign bits from entry 64q + s on, and
     # widths[s, q, k]: entries of block k inside the overlap at lag 64q + s
@@ -257,34 +259,22 @@ def _lag_bounds(views, eq, order):
     widths = sliding_window_view(np.clip(
         N - np.arange(64)[:, None] - 64 * np.arange(2 * nw), 0, 64
     ).astype(np.uint8), nw, axis=1)
-    E = np.asarray(eq, dtype=bool)
-    lags = np.arange(N + 1)
-    q, s = np.divmod(lags, 64)
-    stop = N if order > 1 else 1  # the first lag is 0
+    q, s = np.divmod(np.arange(N), 64)
     for I, R in _lag_tuples(eq, N, order):
-        L, first = _first_lags(E, I, R)
         X = np.bitwise_xor.reduce(words[R & 63, R >> 6, I], axis=1)
-        A = np.searchsorted(L, lags, "right")  # rows of last lag at most d
-        d0 = L[0]
-        while d0 < stop:
-            nk = -(-(N - d0) // 64)  # blocks of the chunk's longest overlap
-            cap = CELLS // (max(nk, 16) * m)
-            # it ends before (rows up to lag d) * (d - d0 + 1) passes cap
-            j = lags[1:min(stop - d0, cap) + 1]
-            e = d0 + max(1, np.count_nonzero(A[d0:d0 + len(j)] * j <= cap))
-            a, d = A[e - 1], lags[d0:e]
-            w = widths[s[d0:e], q[d0:e], None, None, :nk]
+        for d, a, bad in _grid(eq, N, I, R, order):
+            c = slice(d[0], d[-1] + 1)
+            nk = -(-(N - d[0]) // 64)  # blocks of the longest overlap
+            w = widths[s[c], q[c], None, None, :nk]
             # gathered in its final shape: no second array this large
-            x = words[np.broadcast_to(s[d0:e, None], (e - d0, a)),
-                      q[d0:e, None], :, :nk]
+            x = words[np.broadcast_to(s[c, None], (len(d), a)), q[c, None],
+                      :, :nk]
             x ^= X[:a, None, :nk]
             x <<= 64 - w  # masks off the bits past the overlap
             x = np.bitwise_count(x)  # frees the words before the walks
             lb, ub = _block_bounds(w, x)
             del x  # held across the yield, it cost page faults per chunk
-            bad = d[:, None, None] < first[:a]
             lb[bad] = ub[bad] = -1
-            d0 = e
             yield I[:a], R[:a], d, lb, ub
 
 
@@ -315,61 +305,73 @@ def _draw_bounds(views, I, R):
     return lb, ub
 
 
-def _first_lags(E, I, R):
-    """The last lag L[r] of row r and the least lag first[r, i] at which
-    member i may follow it: L[r], or L[r] + 1 if an equal one is there."""
-    L = R.max(axis=1, initial=0)
-    return L, L[:, None] + ((R == L[:, None])[:, :, None] & E[I]).any(axis=1)
-
-
-def _extend(E, D, N, I, R, order):
-    """Blocks of the admissible extensions by one member i and lag d of
-    the rows (I, R), sorted by last lag.  Candidate g = j * m + i extends
-    row j; the rows of last lag at most d are a prefix, so the candidates
-    of lag d are a range of g, and a block, sorted by d, takes `_rows` of
-    them from its start, less those below `_first_lags`.  With lag d at
-    position k, the order - k positions still to place have D * (N - d)
-    - 1 (member, lag) pairs left, D being the number of distinct members,
-    so a row completes only if d <= N - 1 - (order - k) // D, and no
-    later lag is tried."""
+def _grid(eq, N, I, R, order):
+    """Every (member i, lag d) that may extend a row of the block (I, R),
+    sorted by last lag L, to position k of the order, in chunks (d, a,
+    bad): lags d, the rows [:a] of last lag at most d[-1], and bad[j, p, i]
+    where i may not follow row p at lag d[j].  Member i may follow at d >=
+    L, or at d > L if an equal member sits at L.  The first lag is 0.  With
+    lag d at a later position k, the order - k positions still to place
+    have D * (N - d) - 1 (member, lag) pairs left, D being the number of
+    distinct members, so a row completes only if d < N - (order - k) // D.
+    A chunk holds at most CELLS words, or one lag, each (lag, row, member)
+    counting as the blocks of the chunk's longest overlap, at least 16, as
+    the bounds of `_lag_bounds` outlive its words."""
+    E = np.asarray(eq, dtype=bool)
+    # the distinct members: those whose first equal member is themselves
+    D = np.count_nonzero(E.argmax(axis=1) == np.arange(len(E)))
     k = R.shape[1] + 1
-    last, first = _first_lags(E, I, R)
-    stop = N - (order - k) // D
-    counts = np.searchsorted(last, np.arange(stop), "right")
-    starts = np.concatenate(([0], np.cumsum(len(E) * counts)))
-    a = 0
-    while a < starts[-1]:
-        f = np.arange(a, min(starts[-1], a + _rows(0, k, order)))
-        a += len(f)
-        d = np.searchsorted(starts, f, side="right") - 1
-        g = f - starts[d]
-        keep = d >= first.ravel()[g]
-        if keep.any():
-            j, i = np.divmod(g[keep], len(E))
-            yield np.column_stack((I[j], i)), np.column_stack((R[j], d[keep]))
+    stop = N - (order - k) // D if k > 1 else 1
+    L = R.max(axis=1, initial=0)
+    first = L[:, None] + ((R == L[:, None])[:, :, None] & E[I]).any(axis=1)
+    lags = np.arange(stop + 1)
+    A = np.searchsorted(L, lags, "right")  # rows of last lag at most d
+    d0 = L[0]
+    while d0 < stop:
+        cap = CELLS // (max(-(-(N - d0) // 64), 16) * len(E))
+        # it ends before (rows up to lag d) * (d - d0 + 1) passes cap
+        j = lags[1:min(stop - d0, cap) + 1]
+        e = d0 + max(1, np.count_nonzero(A[d0:d0 + len(j)] * j <= cap))
+        a, d = A[e - 1], lags[d0:e]
+        yield d, a, d[:, None, None] < first[:a]
+        d0 = e
+
+
+def _cells(I, R, d, keep, rows):
+    """(I, R) batches, by `_chunks` of rows(L) rows, of the cells that
+    keep marks in a `_grid` chunk: row p of (I, R) then member i at lag
+    d[j], by lag, then row and member."""
+    j, p, i = np.nonzero(keep)
+    for c in _chunks(d[j], rows):
+        yield (np.column_stack((I[p[c]], i[c])),
+               np.column_stack((R[p[c]], d[j[c]])))
+
+
+def _extend(eq, N, I, R, order):
+    """Batches of `_rows` admissible extensions of the rows (I, R) by one
+    (member, lag) from `_grid`, sorted by last lag."""
+    k = R.shape[1] + 1
+    for d, a, bad in _grid(eq, N, I, R, order):
+        yield from _cells(I, R, d, ~bad, lambda L: _rows(0, k, order))
 
 
 def _lag_tuples(eq, N, order):
     """Blocks (I, R), sorted by last lag, of every admissible member tuple
     I[r] at its nondecreasing lag tuple R[r] from 0, each once, less the
-    last position, which `_lag_bounds` adds; the lag-range cut is that of
-    the full order.  Depth first, so each position holds one block of
-    rows.  Orders above MAX_ORDER are refused."""
+    last position, which `_lag_bounds` adds.  `_extend` adds each position
+    from `_grid`, starting from one row of no positions.  Depth first, so
+    each position holds one block of rows.  Orders above MAX_ORDER are
+    refused."""
     if order > MAX_ORDER:
         raise BudgetExceeded(f"exact order {order} is above {MAX_ORDER}")
-    E = np.asarray(eq, dtype=bool)
-    D = int((~np.tril(E, -1).any(axis=1)).sum())  # distinct members
-    # the first position puts each member at lag 0, in blocks of `_rows`
-    I, R = np.indices((len(E), 1) if order > 1 else (1, 0))
-    step = _rows(0, 1, order)
-    levels = [iter([(I[a:a + step], R[a:a + step])
-                    for a in range(0, len(I), step)])]
+    empty = np.zeros((1, 0), dtype=np.intp)
+    levels = [iter([(empty, empty)])]
     while levels:
         rows = next(levels[-1], None)
         if rows is None:
             levels.pop()
         elif rows[1].shape[1] < order - 1:
-            levels.append(_extend(E, D, N, *rows, order))
+            levels.append(_extend(eq, N, *rows, order))
         else:
             yield rows
 
@@ -379,14 +381,12 @@ def _bounded(views, eq, order):
     `_lag_bounds` reaches the best lower bound, from 0, below any walk
     range, to the end of the next chunk.  Ties are kept, so every
     achieving tuple is scored."""
-    best = 0
+    N, best = views.shape[2], 0
     for (I, R, d, lb, ub), ahead in pairwise(
             chain(_lag_bounds(views, eq, order), [None])):
         best = max(best, lb.max(), ahead[3].max() if ahead else 0)
-        j, p, i = np.nonzero(ub >= best)  # by lag, then row and member
-        for c in _chunks(views.shape[2], order, d[j]):
-            yield (np.column_stack((I[p[c]], i[c])),
-                   np.column_stack((R[p[c]], d[j[c]])))
+        yield from _cells(I, R, d, ub >= best,
+                          lambda L: _rows(N - L, order, order))
 
 
 def _exact(views, eq, order):
@@ -403,8 +403,9 @@ def _sampled(views, I, R):
     lb, ub = _draw_bounds(views, I, R)
     keep = np.flatnonzero(ub >= lb.max())
     keep = keep[np.argsort(R[keep, -1], kind="stable")]
+    N, k = views.shape[2], R.shape[1]
     value, hits = _score(views, ((I[keep[c]], R[keep[c]]) for c in _chunks(
-        views.shape[2], R.shape[1], R[keep, -1])))
+        R[keep, -1], lambda L: _rows(N - L, k, k))))
     return value, _window(min(hits.tolist()))
 
 

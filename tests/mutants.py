@@ -63,31 +63,44 @@ MUTANTS = [
            "n = views.shape[2] - int(R[:, -1].max())",
            (f"{TM}::test_engine_matches_per_tuple_loop_correlation",
             f"{TM}::test_engine_matches_per_tuple_loop_cross")),
+    # the extension grid of every position: which (member, lag) may follow
     Mutant("equal members may share a lag", M,
-           "keep = d >= first.ravel()[g]", "keep = d == d",
+           "first = L[:, None] + (", "first = L[:, None] + 0 * (",
            (f"{TM}::test_engine_matches_per_tuple_loop_cross",
             f"{TM}::test_phi_witness_matches_brute_force",
             f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_lag_tuples_at_the_edges")),
-    # the lag-tuple enumerator
     Mutant("admissibility mask checks adjacent positions only", M,
            "((R == L[:, None])[:, :, None] & E[I])",
            "((R == L[:, None])[:, -1:, None] & E[I[:, -1:]])",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_lag_tuples_keep_distant_equal_members_apart",
             f"{TM}::test_phi_witness_matches_brute_force")),
+    Mutant("filter ignores the clash at the prefix's last lag", M,
+           "d[:, None, None] < first[:a]",
+           "d[:, None, None] < (L[:, None] if k == order else first)[:a]",
+           (f"{TM}::test_corr_matches_oracle",
+            f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
+    Mutant("last lag starts at L + 1 for distinct members", M,
+           "d[:, None, None] < first[:a]",
+           "d[:, None, None] < (L[:, None] + 1 if k == order else first)[:a]",
+           (f"{TM}::test_phi_constant_opposite_pair",
+            f"{TM}::test_lag_tuples_at_the_edges",
+            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
     Mutant("enumerator stops at last lag N - 2", M,
-           "stop = N if order > 1 else 1", "stop = N - 1 if order > 1 else 1",
+           "N - (order - k) // D if",
+           "N - (order - k) // D - (k == order) if",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_phi_witness_matches_brute_force")),
     Mutant("lag-range cut ends one lag early", M,
-           "stop = N - (order - k) // D",
-           "stop = N - (order - k) // D - 1",
+           "N - (order - k) // D if",
+           "N - (order - k) // D - (k < order) if",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_orders_close_to_the_most_admissible_finish")),
     # the block filter of the last lag
     Mutant("filter drops last lags whose bound ties the best", M,
-           "nonzero(ub >= best)", "nonzero(ub > best)",
+           "ub >= best", "ub > best",
            (f"{TM}::test_c2_all_ones", f"{TM}::test_c2_alternating",
             f"{TM}::test_exact_filter_keeps_tied_bounds")),
     Mutant("width term dropped from the block upper bound", M,
@@ -97,18 +110,6 @@ MUTANTS = [
            "lb[bad] = ub[bad] = -1", "ub[bad] = -1",
            (f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_block_filter_matches_unfiltered_stream")),
-    Mutant("filter ignores the clash at the prefix's last lag", M,
-           "bad = d[:, None, None] < first[:a]",
-           "bad = d[:, None, None] < L[:a, None]",
-           (f"{TM}::test_corr_matches_oracle",
-            f"{TM}::test_lag_tuples_at_the_edges",
-            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
-    Mutant("last lag starts at L + 1 for distinct members", M,
-           "bad = d[:, None, None] < first[:a]",
-           "bad = d[:, None, None] <= L[:a, None]",
-           (f"{TM}::test_phi_constant_opposite_pair",
-            f"{TM}::test_lag_tuples_at_the_edges",
-            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
     Mutant("prefix XOR skips one position", M,
            "words[R & 63, R >> 6, I]",
            "words[R[:, 1:] & 63, R[:, 1:] >> 6, I[:, 1:]]",

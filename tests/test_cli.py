@@ -636,6 +636,10 @@ T2 = ("--theorem2", "A=2", "B=5", "C=6")
     ("measure", "--in", "{a}", "--p", "7"),
     ("measure", "--in", "{a}", "--f", "x"),
     ("measure", "--in", "{a}", *T2),
+    # a constant polynomial, alone or in a triple
+    ("gen", "--p", "13", "--f", "5"),
+    ("measure", "--p", "13", "--f", "0"),
+    ("check", "--p", "13", "--f", "x", "--g", "3", "--h", "x+1"),
 ])
 def test_input_errors_exit_1(argv, tmp_path, capsys):
     names = {"a": write_seq(tmp_path, "a.txt", (1, -1, 1, 1, -1, -1, 1)),
