@@ -173,12 +173,13 @@ def cmd_measure(args):
     p, polys, reports, build = _build_inputs(args)
     seq = build()
     if args.oracle:
-        measures = ([oracle_well_distribution(seq)]
-                    + [oracle_correlation(seq, order) for order in orders])
+        w, corr = oracle_well_distribution, oracle_correlation
     else:
-        measures = [well_distribution(seq)] + [
-            _by_method(correlation, correlation_sampled, seq, order, args)
-            for order in orders]
+        w, corr = well_distribution, functools.partial(
+            _by_method, correlation, correlation_sampled, args=args)
+    # every order is admitted or refused before W, which has no budget
+    corrs = [corr(seq, order) for order in orders]
+    measures = [w(seq), *corrs]
 
     bound_reports = []
     if polys:

@@ -15,27 +15,31 @@ attaining it.  Exact W scans steps b in increasing order and stops once
 ceil(N/b), the length of the longest class, cannot beat the running
 best, which costs O(N * ceil(N/W)) instead of O(N^2).
 
-C_l is Phi_l of the one-member family {E}: equal members may not share
-a lag, so its lags are strictly increasing.  One engine, `_score`,
-serves exact and sampled C_l and Phi_l.  It scores (I, R) batches, row
-r being the member tuple I[r] at the lag tuple R[r], from the exact
-filter `_bounded` or from the seeded sampler's draws.  A batch
-holds at most CELLS cells, and its rows share nearly one last lag,
-so each row's walk is about its own overlap long.  One int32 cumsum
-over int8 shifted views of the members gives every row's range, and
-the same prefix sums give the first window of every row that attains
-the largest.
+C_l is Phi_l of the one-member family {E}: a member may not sit twice
+on one lag, so its lags are strictly increasing.  The exact engine
+enumerates distinct members only: `_check_family` maps each member of a
+family to its first equal one, which keeps the value and the smallest
+witness, and the witness is mapped back.  One engine, `_score`, serves
+exact and sampled C_l and Phi_l.  It scores (I, R) batches, row r being
+the member tuple I[r] at the lag tuple R[r], from the exact filter
+`_bounded` or from the seeded sampler's draws.  A batch holds at most
+CELLS cells, and its rows share nearly one last lag, so each row's walk
+is about its own overlap long.  One int32 cumsum over int8 shifted views
+of the members gives every row's range, and the same prefix sums give
+the first window of every row that attains the largest.
 
 Every exact lag tuple and every sampled draw is first bounded from
 popcounts of packed sign bits (Packebusch and Mertens, J. Phys. A 49,
-2016) by one reducer.  One generator, `_grid`, decides which (member,
-lag) may extend a block of rows at every position: it owns the
-admissibility rule, the lag-range cut and the chunking.  The numpy
-enumerator `_lag_tuples` builds the exact tuples less their last
-position from it, and `_lag_bounds` bounds every last (member, lag) of
-each chunk it yields; `_draw_bounds` bounds the draws.  The engine
-scores only those whose upper bound reaches the best lower bound; ties
-are kept, so every achieving one is scored.
+2016) by one reducer.  `_sign_words` packs each member's sign bits once:
+`_lag_bounds` shifts them into a table of every lag's words, and
+`_draw_bounds` reads them at each draw's lags.  One generator, `_grid`,
+decides which (member, lag) may extend a block of rows at every
+position: it owns the admissibility rule, the lag-range cut and the
+chunking.  The numpy enumerator `_lag_tuples` builds the exact tuples
+less their last position from it, and `_lag_bounds` bounds every last
+(member, lag) of each chunk it yields; `_draw_bounds` bounds the draws.
+The engine scores only those whose upper bound reaches the best lower
+bound; ties are kept, so every achieving one is scored.
 
 Brute-force definitional oracles (no algebraic shortcuts) are provided
 for sequences of length at most 64: tests tie the exact engines to
@@ -47,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, combinations, pairwise
-from math import comb
+from math import comb, log2
 from typing import Optional
 
 import numpy as np
@@ -240,35 +244,43 @@ def _block_bounds(w, pc):
     return lb, hi - np.minimum(Q.min(axis=-1), 0)
 
 
-def _lag_bounds(views, eq, order):
+def _sign_words(views):
+    """Each member's sign bits, packed once and unshifted into 2 *
+    ceil(N / 64) + 2 words, entry j being bit j % 64 of word j // 64;
+    the words past entry N are 0."""
+    N = views.shape[2]
+    return np.pad(np.packbits(views[:, 0] < 0, axis=1, bitorder="little"),
+                  ((0, 0), (0, 8 * (2 * -(-N // 64) + 2) + -N // 8))
+                  ).view("<u8")
+
+
+def _lag_bounds(views, order):
     """For each block (I, R) of prefixes from `_lag_tuples` and each
     `_grid` chunk (d, a, bad) of its last position, (I[:a], R[:a], d, lb,
     ub): lb[j, p, i] <= walk range <= ub[j, p, i] of row p then member i
-    at lag d[j], or -1 where bad.  Each prefix's sign-bit words are XORed
-    once, and `_block_bounds` reads popcounts of that XOR with member i's
-    words at lag d[j]."""
-    N, eq = views.shape[2], np.asarray(eq, dtype=bool)
+    at lag d[j], or -1 where bad.  The words of `_sign_words` are shifted
+    once into a table that holds every lag's words; each prefix's words
+    are XORed once, and `_block_bounds` reads popcounts of that XOR with
+    member i's words at lag d[j]."""
+    N, D = views.shape[2], len(views)
     nw = -(-N // 64)
-    bits = np.zeros((len(views), 64 * (2 * nw + 1)), dtype=np.uint8)
-    bits[:, :N] = views[:, 0] < 0
+    packed = _sign_words(views)
     # words[s, q, i]: member i's sign bits from entry 64q + s on, and
     # widths[s, q, k]: entries of block k inside the overlap at lag 64q + s
-    words = np.moveaxis(sliding_window_view(np.packbits(
-        sliding_window_view(bits, 128 * nw, axis=1)[:, :64], axis=2,
-        bitorder="little").view("<u8"), nw, axis=2), 0, 2)
+    s = np.arange(64, dtype=np.uint64)[:, None, None]
+    shifted = (packed[:, :-1] >> s) | (packed[:, 1:] << (64 - s))
+    words = np.moveaxis(sliding_window_view(shifted, nw, axis=2), 1, 2)
     widths = sliding_window_view(np.clip(
         N - np.arange(64)[:, None] - 64 * np.arange(2 * nw), 0, 64
     ).astype(np.uint8), nw, axis=1)
-    q, s = np.divmod(np.arange(N), 64)
-    for I, R in _lag_tuples(eq, N, order):
+    for I, R in _lag_tuples(D, N, order):
         X = np.bitwise_xor.reduce(words[R & 63, R >> 6, I], axis=1)
-        for d, a, bad in _grid(eq, N, I, R, order):
-            c = slice(d[0], d[-1] + 1)
+        for d, a, bad in _grid(D, N, I, R, order):
             nk = -(-(N - d[0]) // 64)  # blocks of the longest overlap
-            w = widths[s[c], q[c], None, None, :nk]
+            w = widths[d & 63, d >> 6, None, None, :nk]
             # gathered in its final shape: no second array this large
-            x = words[np.broadcast_to(s[c, None], (len(d), a)), q[c, None],
-                      :, :nk]
+            x = words[np.broadcast_to(d[:, None] & 63, (len(d), a)),
+                      d[:, None] >> 6, :, :nk]
             x ^= X[:a, None, :nk]
             x <<= 64 - w  # masks off the bits past the overlap
             x = np.bitwise_count(x)  # frees the words before the walks
@@ -281,16 +293,14 @@ def _lag_bounds(views, eq, order):
 def _draw_bounds(views, I, R):
     """lb[r] <= walk range <= ub[r] of draw r: the product over k of
     member I[r, k] at lag R[r, k], lags nondecreasing.  Sign bits
-    are packed once, unshifted, into 2 * ceil(N / 64) + 2 words w, and
-    lag d = 64q + s reads (w[q + k] >> s) | (w[q + k + 1] << (64 - s)).
-    Draws go in chunks of at most CELLS words per stream."""
+    are read from the words w of `_sign_words`: lag d = 64q + s reads
+    (w[q + k] >> s) | (w[q + k + 1] << (64 - s)).  Draws go in chunks of
+    at most CELLS words per stream."""
     N = views.shape[2]
-    nw = -(-N // 64)
-    words = np.pad(np.packbits(views[:, 0] < 0, axis=1, bitorder="little"),
-                   ((0, 0), (0, 8 * (2 * nw + 2) + -N // 8))).view("<u8")
+    words = _sign_words(views)
     q, s = R >> 6, (R & 63).astype(np.uint8)
     lb, ub = np.empty((2, len(R)), dtype=np.int32)
-    step = max(1, CELLS // nw)
+    step = max(1, CELLS // -(-N // 64))  # ceil(N / 64) words a draw
     for r in range(0, len(R), step):
         c = slice(r, r + step)
         n = N - R[c, -1]  # the overlaps
@@ -305,30 +315,31 @@ def _draw_bounds(views, I, R):
     return lb, ub
 
 
-def _grid(eq, N, I, R, order):
-    """Every (member i, lag d) that may extend a row of the block (I, R),
-    sorted by last lag L, to position k of the order, in chunks (d, a,
-    bad): lags d, the rows [:a] of last lag at most d[-1], and bad[j, p, i]
-    where i may not follow row p at lag d[j].  Member i may follow at d >=
-    L, or at d > L if an equal member sits at L.  The first lag is 0.  With
-    lag d at a later position k, the order - k positions still to place
-    have D * (N - d) - 1 (member, lag) pairs left, D being the number of
-    distinct members, so a row completes only if d < N - (order - k) // D.
-    A chunk holds at most CELLS words, or one lag, each (lag, row, member)
-    counting as the blocks of the chunk's longest overlap, at least 16, as
-    the bounds of `_lag_bounds` outlive its words."""
-    E = np.asarray(eq, dtype=bool)
-    # the distinct members: those whose first equal member is themselves
-    D = np.count_nonzero(E.argmax(axis=1) == np.arange(len(E)))
+def _grid(D, N, I, R, order):
+    """Every (member i, lag d) of the D distinct members that may extend a
+    row of the block (I, R), sorted by last lag L, to position k of the
+    order, in chunks (d, a, bad): lags d, the rows [:a] of last lag at
+    most d[-1], and bad[j, p, i] where i may not follow row p at lag d[j].
+    A member may not sit twice on one lag, so member i may follow at d >=
+    L, or at d > L if it sits at L already.  The first lag is 0.  With lag
+    d at a later position k, the order - k positions still to place have
+    D * (N - d) - 1 (member, lag) pairs left, so a row completes only if d
+    < N - (order - k) // D.  A chunk holds at most CELLS words, or one
+    lag, each (lag, row, member) counting as the blocks of the chunk's
+    longest overlap, at least 16, as the bounds of `_lag_bounds` outlive
+    its words."""
     k = R.shape[1] + 1
     stop = N - (order - k) // D if k > 1 else 1
     L = R.max(axis=1, initial=0)
-    first = L[:, None] + ((R == L[:, None])[:, :, None] & E[I]).any(axis=1)
+    # at[p, c]: the member in column c of row p if it sits at lag L, else
+    # -1; none of them may sit at L again
+    at = np.where(R == L[:, None], I, -1)
+    first = L[:, None] + (at[:, :, None] == np.arange(D)).any(axis=1)
     lags = np.arange(stop + 1)
     A = np.searchsorted(L, lags, "right")  # rows of last lag at most d
     d0 = L[0]
     while d0 < stop:
-        cap = CELLS // (max(-(-(N - d0) // 64), 16) * len(E))
+        cap = CELLS // (max(-(-(N - d0) // 64), 16) * D)
         # it ends before (rows up to lag d) * (d - d0 + 1) passes cap
         j = lags[1:min(stop - d0, cap) + 1]
         e = d0 + max(1, np.count_nonzero(A[d0:d0 + len(j)] * j <= cap))
@@ -347,23 +358,20 @@ def _cells(I, R, d, keep, rows):
                np.column_stack((R[p[c]], d[j[c]])))
 
 
-def _extend(eq, N, I, R, order):
+def _extend(D, N, I, R, order):
     """Batches of `_rows` admissible extensions of the rows (I, R) by one
     (member, lag) from `_grid`, sorted by last lag."""
     k = R.shape[1] + 1
-    for d, a, bad in _grid(eq, N, I, R, order):
+    for d, a, bad in _grid(D, N, I, R, order):
         yield from _cells(I, R, d, ~bad, lambda L: _rows(0, k, order))
 
 
-def _lag_tuples(eq, N, order):
-    """Blocks (I, R), sorted by last lag, of every admissible member tuple
-    I[r] at its nondecreasing lag tuple R[r] from 0, each once, less the
-    last position, which `_lag_bounds` adds.  `_extend` adds each position
-    from `_grid`, starting from one row of no positions.  Depth first, so
-    each position holds one block of rows.  Orders above MAX_ORDER are
-    refused."""
-    if order > MAX_ORDER:
-        raise BudgetExceeded(f"exact order {order} is above {MAX_ORDER}")
+def _lag_tuples(D, N, order):
+    """Blocks (I, R), sorted by last lag, of every admissible tuple I[r]
+    of the D distinct members at its nondecreasing lag tuple R[r] from 0,
+    each once, less the last position, which `_lag_bounds` adds.
+    `_extend` adds each position from `_grid`, starting from one row of no
+    positions.  Depth first, so each position holds one block of rows."""
     empty = np.zeros((1, 0), dtype=np.intp)
     levels = [iter([(empty, empty)])]
     while levels:
@@ -371,28 +379,29 @@ def _lag_tuples(eq, N, order):
         if rows is None:
             levels.pop()
         elif rows[1].shape[1] < order - 1:
-            levels.append(_extend(eq, N, *rows, order))
+            levels.append(_extend(D, N, *rows, order))
         else:
             yield rows
 
 
-def _bounded(views, eq, order):
+def _bounded(views, order):
     """(I, R) batches, by last lag, of the tuples whose upper bound from
     `_lag_bounds` reaches the best lower bound, from 0, below any walk
     range, to the end of the next chunk.  Ties are kept, so every
     achieving tuple is scored."""
     N, best = views.shape[2], 0
     for (I, R, d, lb, ub), ahead in pairwise(
-            chain(_lag_bounds(views, eq, order), [None])):
+            chain(_lag_bounds(views, order), [None])):
         best = max(best, lb.max(), ahead[3].max() if ahead else 0)
         yield from _cells(I, R, d, ub >= best,
                           lambda L: _rows(N - L, order, order))
 
 
-def _exact(views, eq, order):
+def _exact(views, order):
     """Value and lexicographically smallest witness over every admissible
-    member and lag tuple, of which the engine scores those `_bounded` keeps."""
-    value, hits = _score(views, _bounded(views, eq, order))
+    tuple of the distinct members `views` at every lag tuple, of which the
+    engine scores those `_bounded` keeps."""
+    value, hits = _score(views, _bounded(views, order))
     return value, min(map(_window, hits.tolist()))
 
 
@@ -456,6 +465,19 @@ def _check_order(E: BinarySequence, order: int):
         raise ValueError("correlation order must be below the length")
 
 
+def _check_exact(name: str, order: int, steps, budget: int):
+    """Refuse exact `name` above MAX_ORDER before steps(), its step count,
+    is evaluated, as math.comb takes seconds at orders near N = 10^6;
+    then refuse it when that count passes the work budget.  The message
+    gives the count as a power of 2: the count can pass the 4 300 digits
+    that Python converts to a string."""
+    if order > MAX_ORDER:
+        raise BudgetExceeded(f"exact {name} is above order {MAX_ORDER}")
+    if (n := steps()) > budget:
+        raise BudgetExceeded(f"exact {name} needs 2^{log2(n):.1f} steps "
+                             f"(budget {budget}); use the sampled estimator")
+
+
 def correlation(E: BinarySequence, order: int,
                 budget: int = DEFAULT_BUDGET,
                 threads: int = 1) -> MeasureResult:
@@ -466,16 +488,14 @@ def correlation(E: BinarySequence, order: int,
     tuple is exact; the engine scores those that the block bounds of
     `_bounded` cannot rule out.  The witness (D, M) is the
     lexicographically smallest.
-    Refuses when (number of lag tuples) * N exceeds the work budget.
-    threads is accepted and ignored.
+    Refuses orders above MAX_ORDER, and then when (number of lag tuples)
+    * N exceeds the work budget.  threads is accepted and ignored.
     """
     t0 = time.perf_counter()
     _check_order(E, order)
-    steps = comb(E.n - 1, order - 1) * E.n
-    if steps > budget:
-        raise BudgetExceeded(f"exact C_{order} needs {steps} steps "
-                             f"(budget {budget}); use correlation_sampled")
-    value, (_, D, M) = _exact(_views([E]), [[True]], order)
+    _check_exact(f"C_{order}", order,
+                 lambda: comb(E.n - 1, order - 1) * E.n, budget)
+    value, (_, D, M) = _exact(_views([E]), order)
     return MeasureResult("C", order, value, (D, M),
                          elapsed=time.perf_counter() - t0)
 
@@ -529,28 +549,33 @@ def correlation_sampled(E: BinarySequence, order: int, samples: int,
     skips the draws that `_draw_bounds` rules out.  The witness is the
     first window of the smallest achieving drawn lag tuple.
     Deterministic for a fixed seed; exact when samples reaches the
-    number of lag tuples.  Refuses when samples * N exceeds the work
-    budget, which also bounds that exact pass."""
+    number of lag tuples, which `correlation` then computes.  Refuses
+    when samples * N exceeds the work budget, which also bounds that
+    exact pass."""
     t0 = time.perf_counter()
     _check_order(E, order)
     N = E.n
     _check_samples(f"C_{order}", samples, N, budget)
-    views = _views([E])
     if samples >= comb(N - 1, order - 1):
-        value, (_, D, M) = _exact(views, [[True]], order)
+        exact = correlation(E, order, budget)
+        value, (D, M) = exact.value, exact.witness
     else:
         rng = SplitMix64(seed)
         R = np.array([(0,) + rng.lag_tuple(N, order)
                       for _ in range(samples)], dtype=np.intp)
-        value, (_, D, M) = _sampled(views, np.zeros_like(R), R)
+        value, (_, D, M) = _sampled(_views([E]), np.zeros_like(R), R)
     return MeasureResult("C", order, value, (D, M), method="sampled",
                          samples=samples, seed=seed,
                          elapsed=time.perf_counter() - t0)
 
 
 def _check_family(family, order: int):
-    """Validate a family for Phi_order; returns eq, where eq[i][j] says
-    whether members i and j are equal sequences."""
+    """Validate a family for Phi_order; returns rep, rep[i] being the
+    index of member i's first equal member.  The exact engine runs on
+    those first equal members only: swapping a member of a tuple for its
+    first equal one keeps the product and the admissibility and lowers
+    the index tuple, so the value is unchanged and the smallest witness
+    already uses first equal members."""
     if not family:
         raise ValueError("empty family")
     if order < 1:
@@ -558,16 +583,17 @@ def _check_family(family, order: int):
     N = family[0].n
     if any(s.n != N for s in family):
         raise ValueError("family members must share one length")
-    eq = [[np.array_equal(a.array(), b.array()) for b in family]
-          for a in family]
+    arrays = [s.array() for s in family]
+    rep = [next(j for j, b in enumerate(arrays) if np.array_equal(a, b))
+           for a in arrays]
     # equal sequences must not share a lag, so each distinct member
     # offers N (member, lag) pairs to a tuple
-    distinct = sum(not any(row[:i]) for i, row in enumerate(eq))
+    distinct = len(set(rep))
     if order > distinct * N:
         raise ValueError(
             f"no admissible Phi_{order} tuple: order exceeds {distinct} "
             f"distinct member(s) x length {N}")
-    return eq
+    return rep
 
 
 def cross_correlation(family, order: int,
@@ -576,19 +602,22 @@ def cross_correlation(family, order: int,
     (with repetition) and nondecreasing lag tuples, excluding choices
     where two equal sequences share a lag.  The engine scores those that
     the block bounds of `_bounded` cannot rule out, in batches that span
-    member tuples.  The witness (member indices 1-based, D, M) is
-    lexicographically smallest.
+    member tuples, over the distinct members only (see `_check_family`).
+    The witness (member indices 1-based, D, M) is lexicographically
+    smallest.  Refuses orders above MAX_ORDER, and then when m^l *
+    C(N + l - 2, l - 1) * N exceeds the work budget, m counting every
+    member of the family.
     """
     t0 = time.perf_counter()
     family = list(family)
-    eq = _check_family(family, order)
+    rep = _check_family(family, order)
     N = family[0].n
-    steps = len(family)**order * comb(N + order - 2, order - 1) * N
-    if steps > budget:
-        raise BudgetExceeded(f"exact Phi_{order} needs about {steps} "
-                             f"steps (budget {budget})")
-    value, witness = _exact(_views(family), eq, order)
-    return MeasureResult("Phi", order, value, witness,
+    _check_exact(f"Phi_{order}", order, lambda: len(family)**order
+                 * comb(N + order - 2, order - 1) * N, budget)
+    firsts = sorted(set(rep))
+    value, (idxs, D, M) = _exact(_views([family[i] for i in firsts]), order)
+    return MeasureResult("Phi", order, value,
+                         (tuple(firsts[i - 1] + 1 for i in idxs), D, M),
                          elapsed=time.perf_counter() - t0)
 
 
@@ -606,10 +635,9 @@ def cross_correlation_sampled(family, order: int, samples: int,
     are very rare (an order close to the distinct members times N)."""
     t0 = time.perf_counter()
     family = list(family)
-    eq = _check_family(family, order)
+    rep = _check_family(family, order)
     m, N = len(family), family[0].n
     _check_samples(f"Phi_{order}", samples, N, budget)
-    rep = [row.index(True) for row in eq]  # each member's first equal one
     rng = SplitMix64(seed)
     draws = []
     for _ in range(samples):
@@ -639,8 +667,7 @@ def oracle_well_distribution(E: BinarySequence) -> MeasureResult:
     if E.n > _ORACLE_LIMIT:
         raise ValueError(f"oracle limited to N <= {_ORACLE_LIMIT}")
     N = E.n
-    value = -1
-    witness = None
+    value, witness = -1, None
     for b in range(1, N + 1):
         for a in range(-b + 1, N):
             if a + b < 1:
@@ -665,8 +692,7 @@ def oracle_correlation(E: BinarySequence, order: int) -> MeasureResult:
     N = E.n
     if not 2 <= order < N:
         raise ValueError("bad order")
-    value = -1
-    witness = None
+    value, witness = -1, None
     for D in combinations(range(N), order):
         s = 0
         for M in range(1, N - D[-1] + 1):

@@ -61,8 +61,7 @@ MUTANTS = [
     Mutant("batch overlap trimmed by the largest last lag", M,
            "n = views.shape[2] - int(R[:, -1].min())",
            "n = views.shape[2] - int(R[:, -1].max())",
-           (f"{TM}::test_engine_matches_per_tuple_loop_correlation",
-            f"{TM}::test_engine_matches_per_tuple_loop_cross")),
+           (f"{TM}::test_engine_matches_per_tuple_loop_on_random_signs",)),
     # the extension grid of every position: which (member, lag) may follow
     Mutant("equal members may share a lag", M,
            "first = L[:, None] + (", "first = L[:, None] + 0 * (",
@@ -71,8 +70,8 @@ MUTANTS = [
             f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_lag_tuples_at_the_edges")),
     Mutant("admissibility mask checks adjacent positions only", M,
-           "((R == L[:, None])[:, :, None] & E[I])",
-           "((R == L[:, None])[:, -1:, None] & E[I[:, -1:]])",
+           "np.where(R == L[:, None], I, -1)",
+           "np.where(R == L[:, None], I, -1)[:, -1:]",
            (f"{TM}::test_lag_tuples_at_the_edges",
             f"{TM}::test_lag_tuples_keep_distant_equal_members_apart",
             f"{TM}::test_phi_witness_matches_brute_force")),
@@ -110,11 +109,20 @@ MUTANTS = [
            "lb[bad] = ub[bad] = -1", "ub[bad] = -1",
            (f"{TM}::test_corr_matches_oracle",
             f"{TM}::test_block_filter_matches_unfiltered_stream")),
+    Mutant("pre-shifted table drops the next word's low bits", M,
+           "(packed[:, :-1] >> s) | (packed[:, 1:] << (64 - s))",
+           "(packed[:, :-1] >> s)",
+           (f"{TM}::test_exact_c3_at_a_table_prime",
+            f"{TM}::test_exact_filter_keeps_tied_bounds")),
     Mutant("prefix XOR skips one position", M,
            "words[R & 63, R >> 6, I]",
            "words[R[:, 1:] & 63, R[:, 1:] >> 6, I[:, 1:]]",
            (f"{TM}::test_lag_bounds_enclose_every_walk_range",
             f"{TM}::test_block_bounds_enclose_every_walk_range")),
+    # equal members merged before the exact engine
+    Mutant("witness member indices not mapped back to the family", M,
+           "tuple(firsts[i - 1] + 1 for i in idxs)", "idxs",
+           (f"{TM}::test_repeated_members_merge_to_their_first_equal_ones",)),
     # the sampled block filter and the distinct-lag redraw
     Mutant("sampled bounds read the last word unmasked", M,
            "np.bitwise_count(x << (64 - w))", "np.bitwise_count(x)",

@@ -248,6 +248,21 @@ def test_measure_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_measure_admits_every_order_before_w(capsys, monkeypatch):
+    # exact W has no budget and takes seconds at p = 1000003, so a
+    # refused order or sample count must end the run before it starts
+    def no_w(seq):
+        raise AssertionError("W ran before the orders were admitted")
+
+    monkeypatch.setattr(cli, "well_distribution", no_w)
+    argv = ("measure", "--p", "1000003", "--f", "x^2+1")
+    for extra, want in ((("--orders", "1"), 1),
+                        (("--method", "sampled", "--samples", "0"), 1),
+                        (("--budget", "10"), 3)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (want, "") and err
+
+
 def test_measure_repeated_orders_exit_1(capsys):
     for orders in ("2,2", "2,3,2"):
         code, out, err = run(capsys, "measure", "--p", "43", "--f", "x^2+1",

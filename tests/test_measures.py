@@ -636,6 +636,22 @@ def test_engine_matches_per_tuple_loop_cross(data):
     assert (res.value, res.witness) == (value, witness)
 
 
+def test_engine_matches_per_tuple_loop_on_random_signs(rng):
+    # hypothesis favours short and constant sequences, whose batches often
+    # keep one row; random signs put rows of several last lags in a batch
+    for _ in range(20):
+        N = int(rng.integers(4, 15))
+        F, G = rand_seq(rng, N), rand_seq(rng, N)
+        fam = [F, G, F][:int(rng.integers(1, 4))]
+        order = int(rng.integers(2, 4))
+        res = cross_correlation(fam, order)
+        assert (res.value, res.witness) == reference_cross(fam, order)[:2]
+        E = rand_seq(rng, int(rng.integers(order + 2, 40)))
+        res = correlation(E, order)
+        assert (res.value, res.witness) \
+            == reference_correlation(E, order)[:2]
+
+
 def test_engine_ties_across_batches():
     # lags 2 and 4 both reach 8, and lag 4, in the later batch, has the
     # smaller witness
@@ -678,19 +694,26 @@ def reference_lag_tuples(eq, N, order):
             yield np.broadcast_to(idxs, R[r:r + step].shape), R[r:r + step]
 
 
+def distinct_members(family):
+    """The members that no earlier member equals, in order: the family
+    that the exact engine enumerates."""
+    return [s for i, s in enumerate(family)
+            if all(t.values != s.values for t in family[:i])]
+
+
 def lag_bound_chunks(family, order):
-    """(I, R, lb, ub) of each chunk of `_lag_bounds`, over the candidate
-    (member tuple, lag tuple) rows of upper bound at least 0, the
-    filter's best before any pruning, after checking that each block of
-    prefixes from `_lag_tuples` is nonempty, sorted by last lag and
-    within its row cap, and that each chunk holds at most CELLS words or
-    one lag."""
+    """(I, R, lb, ub) of each chunk of `_lag_bounds` over a family of
+    distinct members, over the candidate (member tuple, lag tuple) rows
+    of upper bound at least 0, the filter's best before any pruning,
+    after checking that each block of prefixes from `_lag_tuples` is
+    nonempty, sorted by last lag and within its row cap, and that each
+    chunk holds at most CELLS words or one lag."""
     N = family[0].n
-    eq = [[a.values == b.values for b in family] for a in family]
-    for I, R in measures._lag_tuples(eq, N, order):
+    assert distinct_members(family) == family
+    for I, R in measures._lag_tuples(len(family), N, order):
         assert 1 <= len(R) <= measures._rows(0, max(1, order - 1), order)
         assert (np.diff(R.max(axis=1, initial=0)) >= 0).all()
-    for I, R, d, lb, ub in measures._lag_bounds(measures._views(family), eq,
+    for I, R, d, lb, ub in measures._lag_bounds(measures._views(family),
                                                 order):
         assert len(d) == 1 or ub.size * -(-(N - d[0]) // 64) \
             <= measures.CELLS
@@ -700,8 +723,10 @@ def lag_bound_chunks(family, order):
 
 
 def assert_enumerates_each_admissible_tuple_once(family, order):
-    """The filter's candidates before pruning are the reference's
-    (member tuple, lag tuple) rows, each exactly once."""
+    """Over the distinct members of family, the filter's candidates
+    before pruning are the reference's (member tuple, lag tuple) rows,
+    each exactly once."""
+    family = distinct_members(family)
     rows = [row for I, R, _, _ in lag_bound_chunks(family, order)
             for row in zip(map(tuple, I.tolist()), map(tuple, R.tolist()))]
     eq = [[a.values == b.values for b in family] for a in family]
@@ -729,7 +754,7 @@ def test_lag_tuples_keep_distant_equal_members_apart(rng, shape, order,
     # two distinct members offer the member tuple (F, G, F), whose lags
     # (d, d, d) put F twice on one lag two positions apart: the random
     # family of the hypothesis test above has two distinct members only
-    # sometimes
+    # sometimes.  FGF and GFF merge to FG and GF before enumeration
     N = int(rng.integers(2, 9))
     F = rand_seq(rng, N)
     G = -F
@@ -772,7 +797,7 @@ def test_lag_tuples_hold_one_bounded_block_per_level(rng):
 
     views = measures._views([rand_seq(rng, 40)])
     with mock.patch.object(measures, "_extend", spy):
-        batches = islice(measures._bounded(views, [[True]], 9), 200)
+        batches = islice(measures._bounded(views, 9), 200)
         assert sum(1 for _ in batches) == 200
     assert {k for k, _ in seen} == set(range(1, 9))
     assert all(rows <= measures._rows(0, k, 9) for k, rows in seen)
@@ -796,10 +821,26 @@ def test_orders_close_to_the_most_admissible_finish(rng):
 
 
 def test_exact_order_above_max_order_refused():
-    # the budget admits C_1025 at N = 1026, which has only 1025 lag tuples
+    # the budget admits C_1025 at N = 1026, which has only 1025 lag tuples,
+    # and 1025 draws make the sampled estimator exhaustive
     E = BinarySequence((1, -1) * 513)
     with pytest.raises(BudgetExceeded):
         correlation(E, measures.MAX_ORDER + 1)
+    with pytest.raises(BudgetExceeded):
+        correlation_sampled(E, measures.MAX_ORDER + 1, 1025)
+
+
+@pytest.mark.parametrize("N, order", [(10**6, 500_000), (10**7, 1024),
+                                      (10**7, 1000)])
+def test_exact_refusals_come_before_their_step_counts(N, order):
+    # at N = 10^6 and order 500 000 the step counts take seconds to
+    # compute, and at N = 10^7 those of C_1024 and Phi_1000 pass the
+    # 4 300 digits that Python converts to a string
+    E = BinarySequence(np.ones(N, dtype=np.int8))
+    with pytest.raises(BudgetExceeded):
+        correlation(E, order)
+    with pytest.raises(BudgetExceeded):
+        cross_correlation([E], order)
 
 
 def scanned_batches(fn):
@@ -844,6 +885,27 @@ def unfiltered_exact(family, order):
     return value, min(map(measures._window, hits.tolist()))
 
 
+def test_repeated_members_merge_to_their_first_equal_ones(rng):
+    # the exact engine enumerates distinct members only and maps its
+    # witness back to the family: [E, E, F] moves F from index 2 to 3
+    def check(fam, order, expected):
+        res = cross_correlation(fam, order)
+        assert (res.value, res.witness) == expected
+        idxs = res.witness[0]
+        values = [s.values for s in fam]
+        assert all(values.index(values[i - 1]) == i - 1 for i in idxs)
+        return idxs
+
+    E, F = seq_of("++-+--"), seq_of("-+++-+")
+    for fam, order in product(([E, E, F], [E, F, E, F]), (2, 3, 4)):
+        idxs = check(fam, order, brute_cross_witness(fam, order))
+        assert len(fam) == 4 or 3 in idxs
+    for N in (8, 16, 24):
+        E, F = rand_seq(rng, N), rand_seq(rng, N)
+        for fam, order in product(([E, E, F], [E, F, E, F]), (2, 3, 4)):
+            check(fam, order, unfiltered_exact(fam, order))
+
+
 def reference_walk_ranges(family, I, R):
     """Walk range of each row r, with its leading 0: the product over k
     of member I[r, k] from entry R[r, k] on, over the overlap
@@ -860,7 +922,8 @@ def reference_walk_ranges(family, I, R):
 
 def assert_lag_bounds_enclose(family, order):
     """lb <= walk range <= ub for every (prefix, last member, last lag)
-    that `_lag_bounds` bounds."""
+    that `_lag_bounds` bounds over the distinct members of family."""
+    family = distinct_members(family)
     for I, R, lb, ub in lag_bound_chunks(family, order):
         r = reference_walk_ranges(family, I, R)
         bad = (lb > r) | (r > ub)
